@@ -1351,8 +1351,9 @@ let record_entries () =
       peak_heap_mb = Resource.peak_heap_mb tot;
     }
   in
-  let sim () =
-    let g = Gen.grid 8 8 in
+  let sim ~side =
+    let g = Gen.grid side side in
+    let n = side * side in
     (* timed samples run untraced; one final traced run supplies the
        logical and resource columns *)
     let _, summary =
@@ -1366,14 +1367,14 @@ let record_entries () =
     let tot = Resource.totals res in
     let s = r.Weakdiam.Distributed.sim_stats in
     {
-      Trajectory.name = "weak_carve_sim/grid64";
+      Trajectory.name = Printf.sprintf "weak_carve_sim/grid%d" n;
       rounds = s.Congest.Sim.rounds_used;
       messages = s.Congest.Sim.total_messages;
       max_bits = s.Congest.Sim.max_bits_seen;
       phases = List.length (Congest.Span.rollups sink);
       seconds = summary.Workload.Stats.median;
       seconds_mad = summary.Workload.Stats.mad;
-      minor_words_per_node = tot.Resource.t_minor_words /. 64.0;
+      minor_words_per_node = tot.Resource.t_minor_words /. float_of_int n;
       peak_heap_mb = Resource.peak_heap_mb tot;
     }
   in
@@ -1398,14 +1399,25 @@ let record_entries () =
       peak_heap_mb = Resource.peak_heap_mb tot;
     }
   in
-  [
-    decomp "thm2.3" 256;
-    decomp "thm3.4" 256;
-    decomp "ggr21" 256;
-    decomp "mpx" 256;
-    sim ();
-    repair_entry ();
-  ]
+  let rows =
+    [
+      decomp "thm2.3" 256;
+      decomp "thm3.4" 256;
+      decomp "ggr21" 256;
+      decomp "mpx" 256;
+      sim ~side:8;
+      repair_entry ();
+    ]
+  in
+  (* measured after the others: the peak-heap column is a process-wide
+     watermark, which would carry this row's trace buffer into every row
+     measured after it *)
+  let grid256 = sim ~side:16 in
+  List.concat_map
+    (fun e ->
+      if e.Trajectory.name = "weak_carve_sim/grid64" then [ e; grid256 ]
+      else [ e ])
+    rows
 
 (* prints one "regression: ..." line per significant metric increase
    (the MAD-aware max(10%, k*MAD) gate); CI greps for the prefix and

@@ -61,9 +61,10 @@ let () =
     {
       Congest.Sim.init = (fun ~node:_ ~neighbors:_ -> ());
       round =
-        (fun ~node ~state:_ ~inbox:_ ->
-          if node = 0 then ((), [ (Graph.neighbors g 0).(0), () ], true)
-          else ((), [], true));
+        (fun ~round:_ ~node ~state:_ ~inbox:_ ->
+          if node = 0 then
+            ((), [ ((Graph.neighbors g 0).(0), ()) ], Congest.Sim.Halt)
+          else ((), [], Congest.Sim.Halt));
     }
   in
   (try

@@ -27,10 +27,10 @@ let run ?(seed = 1) g =
             exchange = true;
           });
       round =
-        (fun ~node ~state:st ~inbox ->
+        (fun ~round:_ ~node ~state:st ~inbox ->
           (* decided nodes only react to announcements (nothing to do) *)
           match st.status with
-          | In_mis | Out -> (st, [], true)
+          | In_mis | Out -> (st, [], Congest.Sim.Halt)
           | Undecided ->
               if st.exchange then begin
                 (* if any neighbor joined the MIS last round, drop out *)
@@ -39,7 +39,7 @@ let run ?(seed = 1) g =
                 in
                 if dominated then begin
                   st.status <- Out;
-                  (st, [], true)
+                  (st, [], Congest.Sim.Halt)
                 end
                 else begin
                   st.exchange <- false;
@@ -51,7 +51,7 @@ let run ?(seed = 1) g =
                          (fun nb -> (nb, Priority (p, node)))
                          (Graph.neighbors g node))
                   in
-                  (st, out, false)
+                  (st, out, Congest.Sim.Run)
                 end
               end
               else begin
@@ -69,7 +69,7 @@ let run ?(seed = 1) g =
                 in
                 if dominated then begin
                   st.status <- Out;
-                  (st, [], true)
+                  (st, [], Congest.Sim.Halt)
                 end
                 else if not beaten then begin
                   st.status <- In_mis;
@@ -79,9 +79,9 @@ let run ?(seed = 1) g =
                          (fun nb -> (nb, In_announce))
                          (Graph.neighbors g node))
                   in
-                  (st, out, false)
+                  (st, out, Congest.Sim.Run)
                 end
-                else (st, [], false)
+                else (st, [], Congest.Sim.Run)
               end);
     }
   in

@@ -29,7 +29,7 @@ let build rng g ~epsilon =
         (fun ~node ~neighbors:_ ->
           { best_prio = node; best_slack = radii.(node); announced = None });
       round =
-        (fun ~node ~state ~inbox ->
+        (fun ~round:_ ~node ~state ~inbox ->
           let best =
             List.fold_left
               (fun acc (_, pair) -> if better pair acc then pair else acc)
@@ -50,8 +50,8 @@ let build rng g ~epsilon =
             in
             ( { state with announced = Some (state.best_prio, state.best_slack) },
               out,
-              false )
-          else (state, [], true));
+              Congest.Sim.Run )
+          else (state, [], Congest.Sim.Halt));
     }
   in
   (cap, msg_bits, program)

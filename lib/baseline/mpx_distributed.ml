@@ -60,7 +60,6 @@ type nstate = {
   mutable center : int;
   mutable announced : bool;
   start_round : int;
-  mutable round : int;
 }
 
 let partition ?(seed = 1) ?adversary ?conformance ?trace g ~beta =
@@ -76,17 +75,15 @@ let partition ?(seed = 1) ?adversary ?conformance ?trace g ~beta =
             center = -1;
             announced = false;
             start_round = shift_cap - delta.(node) + 1;
-            round = 0;
           });
       round =
-        (fun ~node ~state:st ~inbox ->
-          st.round <- st.round + 1;
+        (fun ~round ~node ~state:st ~inbox ->
           (* adopt the best wave among this round's arrivals and our own
              start, if still unclaimed *)
           if st.center = -1 then begin
             let best = ref max_int in
             List.iter (fun (_, c) -> if c < !best then best := c) inbox;
-            if st.round = st.start_round && node < !best then best := node;
+            if round = st.start_round && node < !best then best := node;
             if !best < max_int then st.center <- !best
           end;
           if st.center >= 0 && not st.announced then begin
@@ -95,9 +92,13 @@ let partition ?(seed = 1) ?adversary ?conformance ?trace g ~beta =
               Array.to_list
                 (Array.map (fun nb -> (nb, st.center)) (Graph.neighbors g node))
             in
-            (st, out, false)
+            (st, out, Congest.Sim.Run)
           end
-          else (st, [], st.center >= 0));
+          else if st.center >= 0 then (st, [], Congest.Sim.Halt)
+          else
+            (* unclaimed: nothing to do before our own start round unless
+               a wave arrives *)
+            (st, [], Congest.Sim.Sleep_until st.start_round));
     }
   in
   let config =

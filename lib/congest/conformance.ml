@@ -133,15 +133,27 @@ let instrument ?(order_invariant = false) rec_ g inner =
     [@@domain_unsafe
       "generation counter paired with [seen]; same sharding constraint"]
   in
+  let sleep_until =
+    Array.make n 0
+    [@@domain_unsafe
+      "per-node Sleep_until rounds captured by the instrumented program's \
+       closures; indexed by node, racy only across nodes"]
+  in
   let init ~node ~neighbors =
     voted_halt.(node) <- false;
     steps.(node) <- 0;
+    sleep_until.(node) <- 0;
     inner.Sim.init ~node ~neighbors
   in
-  let round ~node ~state ~inbox =
+  let halts = function
+    | Sim.Halt -> true
+    | Sim.Run | Sim.Sleep_until _ -> false
+  in
+  let round ~round ~node ~state ~inbox =
     steps.(node) <- steps.(node) + 1;
     let step = steps.(node) in
-    let state', out, halt = inner.Sim.round ~node ~state ~inbox in
+    let state', out, wake = inner.Sim.round ~round ~node ~state ~inbox in
+    let halt = halts wake in
     (* (c) one message per incident edge, neighbors only *)
     incr gen;
     List.iter
@@ -154,22 +166,39 @@ let instrument ?(order_invariant = false) rec_ g inner =
             (Printf.sprintf "sent twice to neighbor %d in one round" dst)
         else seen.(dst) <- !gen)
       out;
-    (* (d) halt monotonicity: no spontaneous sends or wake-ups *)
-    if voted_halt.(node) && inbox = [] then begin
-      if out <> [] then
-        record rec_ ~invariant:"halt-monotonic" ~node ~step
-          (Printf.sprintf "halted node sent %d message(s) with empty inbox"
-             (List.length out));
-      if not halt then
-        record rec_ ~invariant:"halt-monotonic" ~node ~step
-          "halted node un-halted without a delivery"
+    (* (d) halt monotonicity: no spontaneous sends or wake-ups, neither
+       from a halted node nor from a sleeping one stepped early *)
+    if inbox = [] then begin
+      if voted_halt.(node) then begin
+        if out <> [] then
+          record rec_ ~invariant:"halt-monotonic" ~node ~step
+            (Printf.sprintf "halted node sent %d message(s) with empty inbox"
+               (List.length out));
+        if not halt then
+          record rec_ ~invariant:"halt-monotonic" ~node ~step
+            "halted node un-halted without a delivery"
+      end
+      else if round < sleep_until.(node) then begin
+        if out <> [] then
+          record rec_ ~invariant:"halt-monotonic" ~node ~step
+            (Printf.sprintf
+               "node sleeping until round %d sent %d message(s) in round %d \
+                with empty inbox"
+               sleep_until.(node) (List.length out) round);
+        if halt then
+          record rec_ ~invariant:"halt-monotonic" ~node ~step
+            (Printf.sprintf
+               "node sleeping until round %d halted in round %d without a \
+                delivery"
+               sleep_until.(node) round)
+      end
     end;
     (* (e) inbox-order robustness, for registered programs only *)
     (if order_invariant && List.length inbox > 1 then
-       let state2, out2, halt2 =
-         inner.Sim.round ~node ~state ~inbox:(List.rev inbox)
+       let state2, out2, wake2 =
+         inner.Sim.round ~round ~node ~state ~inbox:(List.rev inbox)
        in
-       if halt2 <> halt then
+       if halts wake2 <> halt then
          record rec_ ~invariant:"order-invariant" ~node ~step
            "halt vote depends on inbox order"
        else if
@@ -184,7 +213,12 @@ let instrument ?(order_invariant = false) rec_ g inner =
          record rec_ ~invariant:"order-invariant" ~node ~step
            "state depends on inbox order");
     voted_halt.(node) <- halt;
-    (state', out, halt)
+    (* a step before the wake-up round leaves the earlier deadline in
+       force: sleeping is a promise about every round before it *)
+    (if inbox <> [] || round >= sleep_until.(node) then
+       sleep_until.(node) <-
+         match wake with Sim.Sleep_until r -> r | Sim.Run | Sim.Halt -> 0);
+    (state', out, wake)
   in
   { Sim.init; round }
 
@@ -200,7 +234,10 @@ let instrumentor ?order_invariant rec_ g =
 (* ------------------------------------------------------------------ *)
 
 type totals = { rounds : int; messages : int; max_bits : int }
-type expectation = Cost_totals of totals | Sim_totals of totals
+type expectation =
+  | Cost_totals of totals
+  | Sim_totals of totals
+  | Sim_steps of { node_steps : int; rounds : int; nodes : int }
 
 type fold = {
   mutable sim_rounds : int;
@@ -332,7 +369,18 @@ let consistency_checks ?(expect = []) sink =
                   ("rounds stats=trace", t.rounds, f.sim_rounds);
                   ("messages stats=trace", t.messages, f.sim_messages);
                   ("max-bits stats=trace", t.max_bits, f.sim_max_bits);
-                ])
+                ]
+          | Sim_steps { node_steps; rounds; nodes } ->
+              let dense = rounds * nodes in
+              {
+                name = Printf.sprintf "sim-steps[%d]" i;
+                passed = node_steps <= dense;
+                detail =
+                  Printf.sprintf "node_steps %d of rounds*n %d (%.1f%%)"
+                    node_steps dense
+                    (100.0 *. float_of_int node_steps
+                    /. float_of_int (max 1 dense));
+              })
         expect
     in
     capacity :: bandwidth_sum :: message_count :: rounds :: max_bits
@@ -421,6 +469,12 @@ let verify_program ?(label = "program") ?capacity ?order_invariant ?max_rounds
           rounds = stats.Sim.rounds_used;
           messages = stats.Sim.total_messages;
           max_bits = stats.Sim.max_bits_seen;
+        };
+      Sim_steps
+        {
+          node_steps = stats.Sim.node_steps;
+          rounds = stats.Sim.rounds_used;
+          nodes = Graph.n g;
         };
     ]
   in

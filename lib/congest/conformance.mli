@@ -20,7 +20,13 @@
     - {b (c) edge discipline} — at most one program message per incident
       edge per round, addressed to neighbors only ({!instrument});
     - {b (d) halt monotonicity} — a node that voted to halt sends nothing
-      and stays halted unless re-awakened by a delivery ({!instrument});
+      and stays halted unless re-awakened by a delivery, and a node that
+      asked to [Sleep_until] round [k] sends nothing and does not halt
+      when stepped before [k] with an empty inbox ({!instrument}).
+      {!Sim.simulate} never steps such a node, so under [Sim] (d) holds
+      by construction — the simulator's skipping is only sound because
+      of it. It is still checked wherever a program is stepped densely,
+      as {!Reliable} steps its inner program every inner round;
     - {b (e) inbox-order robustness} — for programs registered as
       order-invariant, re-running a round with a permuted inbox yields the
       same (state, outbox set, halt vote) ({!instrument}).
@@ -84,7 +90,8 @@ val instrument :
   ('st, 'msg) Sim.program ->
   ('st, 'msg) Sim.program
 (** Wraps a program so that every [round] invocation is checked for
-    invariants (c) and (d), and — when [order_invariant] (default
+    invariants (c) and (d) ([~round] is passed through and read for the
+    sleep half of (d)), and — when [order_invariant] (default
     [false]) — (e): the inner [round] is re-run on the reversed inbox and
     the resulting state, outbox {e set}, and halt vote must coincide.
     Comparison uses structural equality; states containing closures are
@@ -111,6 +118,9 @@ type expectation =
   | Sim_totals of totals
       (** a {!Sim.stats}: must equal the [Message_sent]/[Round_start]
           sums of the trace *)
+  | Sim_steps of { node_steps : int; rounds : int; nodes : int }
+      (** a {!Sim.stats}' [node_steps], reported next to the dense
+          bound [rounds * nodes] it must not exceed *)
 
 val consistency_checks :
   ?expect:expectation list -> Trace.sink -> check list

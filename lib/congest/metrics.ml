@@ -179,9 +179,7 @@ let of_spans ?into sink =
       incr ~by:r.Span.bits (counter t (pre ^ "bits"));
       incr ~by:r.Span.bits_incl (counter t (pre ^ "bits_incl"));
       set (gauge t (pre ^ "max_message_bits"))
-        (float_of_int r.Span.max_message_bits);
-      set (gauge t (pre ^ "seconds")) r.Span.seconds;
-      set (gauge t (pre ^ "seconds_incl")) r.Span.seconds_incl)
+        (float_of_int r.Span.max_message_bits))
     (Span.rollups sink);
   t
 

@@ -65,7 +65,7 @@ val of_spans : ?into:t -> Trace.sink -> t
 (** Folds {!Span.rollups} into per-phase metrics: counters
     [span.<path>.entries], [.rounds], [.rounds_incl], [.messages],
     [.messages_incl], [.bits], [.bits_incl] and gauges
-    [.max_message_bits], [.seconds], [.seconds_incl]. Self totals over
+    [.max_message_bits]. Self totals over
     all paths (including the [(unspanned)] bucket) sum exactly to the
     corresponding {!of_trace} globals. *)
 

@@ -21,8 +21,7 @@ let leader_election ?adversary ?conformance ?trace g =
     {
       Sim.init = (fun ~node ~neighbors:_ -> { best = node; dirty = true });
       round =
-        (fun ~node ~state ~inbox ->
-          ignore node;
+        (fun ~round:_ ~node ~state ~inbox ->
           let best =
             List.fold_left (fun acc (_, m) -> min acc m) state.best inbox
           in
@@ -31,8 +30,8 @@ let leader_election ?adversary ?conformance ?trace g =
               Array.to_list
                 (Array.map (fun nb -> (nb, best)) (Graph.neighbors g node))
             in
-            ({ best; dirty = false }, out, false)
-          else ({ best; dirty = false }, [], true));
+            ({ best; dirty = false }, out, Sim.Run)
+          else ({ best; dirty = false }, [], Sim.Halt));
     }
   in
   let states, stats =
@@ -58,7 +57,7 @@ let bfs ?adversary ?conformance ?trace g ~source =
           if node = source then { dist = 0; parent = source; announced = false }
           else { dist = -1; parent = -1; announced = false });
       round =
-        (fun ~node ~state ~inbox ->
+        (fun ~round:_ ~node ~state ~inbox ->
           let state =
             if state.dist >= 0 then state
             else
@@ -80,8 +79,8 @@ let bfs ?adversary ?conformance ?trace g ~source =
                    (fun nb -> (nb, state.dist))
                    (Graph.neighbors g node))
             in
-            ({ state with announced = true }, out, false)
-          else (state, [], true));
+            ({ state with announced = true }, out, Sim.Run)
+          else (state, [], Sim.Halt));
     }
   in
   let states, stats =
@@ -98,7 +97,6 @@ let bfs ?adversary ?conformance ?trace g ~source =
 type count_msg = Child | Count of int
 
 type count_state = {
-  round_no : int;
   pending : int; (* children that have not reported yet *)
   total : int;
   sent_up : bool;
@@ -115,35 +113,38 @@ let subtree_counts ?adversary ?conformance ?trace g ~parent =
   let program =
     {
       Sim.init =
-        (fun ~node ~neighbors:_ ->
-          ignore node;
-          { round_no = 0; pending = 0; total = 1; sent_up = false });
+        (fun ~node:_ ~neighbors:_ ->
+          { pending = 0; total = 1; sent_up = false });
       round =
-        (fun ~node ~state ~inbox ->
-          if parent.(node) = -1 then (state, [], true)
+        (fun ~round ~node ~state ~inbox ->
+          if parent.(node) = -1 then (state, [], Sim.Halt)
+          else if round = 1 then
+            let out =
+              if parent.(node) <> node then [ (parent.(node), Child) ] else []
+            in
+            (state, out, Sim.Run)
           else
-            let state = { state with round_no = state.round_no + 1 } in
-            if state.round_no = 1 then
-              let out =
-                if parent.(node) <> node then [ (parent.(node), Child) ] else []
-              in
-              (state, out, false)
-            else
-              let state =
-                List.fold_left
-                  (fun st (_, m) ->
-                    match m with
-                    | Child -> { st with pending = st.pending + 1 }
-                    | Count c ->
-                        { st with pending = st.pending - 1; total = st.total + c })
-                  state inbox
-              in
-              let is_root = parent.(node) = node in
-              if state.pending = 0 && not state.sent_up && not is_root then
-                ( { state with sent_up = true },
-                  [ (parent.(node), Count state.total) ],
-                  false )
-              else (state, [], state.sent_up || (is_root && state.pending = 0)));
+            let state =
+              List.fold_left
+                (fun st (_, m) ->
+                  match m with
+                  | Child -> { st with pending = st.pending + 1 }
+                  | Count c ->
+                      {
+                        st with
+                        pending = st.pending - 1;
+                        total = st.total + c;
+                      })
+                state inbox
+            in
+            let is_root = parent.(node) = node in
+            if state.pending = 0 && not state.sent_up && not is_root then
+              ( { state with sent_up = true },
+                [ (parent.(node), Count state.total) ],
+                Sim.Run )
+            else if state.sent_up || (is_root && state.pending = 0) then
+              (state, [], Sim.Halt)
+            else (state, [], Sim.Run));
     }
   in
   let states, stats =

@@ -236,8 +236,10 @@ let execute_inner (inner : ('st, 'msg) Sim.program) ~node st =
       [] st.sorted_nbrs
     |> List.rev
   in
-  let state', outgoing, _halt =
-    inner.Sim.round ~node ~state:st.inner_state ~inbox
+  (* the inner program runs in lockstep, every inner round, whatever
+     wake-up it asks for *)
+  let state', outgoing, _wake =
+    inner.Sim.round ~round:r ~node ~state:st.inner_state ~inbox
   in
   st.inner_state <- state';
   let sent = Hashtbl.create 4 in
@@ -332,7 +334,12 @@ let wrap cfg (inner : ('st, 'msg) Sim.program) :
       detected = [];
     }
   in
-  let round ~node ~state:st ~inbox =
+  let round ~round:_ ~node ~state:st ~inbox =
+    (* the liveness clock counts this node's own live rounds, not the
+       global round: a revived node must not see its crash downtime as
+       silence on every link. A running node is stepped every round and
+       a halted one never reads the clock again, so skipping halted
+       nodes leaves it exact. *)
     st.outer <- st.outer + 1;
     List.iter (fun (u, f) -> receive st u f) inbox;
     detect_dead st;
@@ -362,7 +369,7 @@ let wrap cfg (inner : ('st, 'msg) Sim.program) :
              (not l.alive) || l.outq = [])
            st.sorted_nbrs
     in
-    (st, out, halt)
+    (st, out, if halt then Sim.Halt else Sim.Run)
   in
   { Sim.init; round }
 

@@ -197,15 +197,10 @@ let on_exit t _sink _pid =
     push_event t 'E' t.stack.(t.depth)
   end
 
-let span_seconds t =
-  Hashtbl.fold (fun _ a l -> (a.a_path, a.self_s, a.incl_s) :: l) t.accs []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-
 let attach t sink =
   Trace.set_span_hooks sink
     ~enter:(fun pid -> on_enter t sink pid)
     ~exit:(fun pid -> on_exit t sink pid)
-    ~seconds:(fun () -> span_seconds t)
 
 type rollup = {
   r_path : string;

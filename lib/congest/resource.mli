@@ -39,8 +39,8 @@ val create : unit -> t
 val attach : t -> Trace.sink -> unit
 (** Registers [t] on the sink's span hooks: subsequent
     [enter_span]/[exit_span] calls feed the per-path tables and the
-    Chrome timeline, and the sink's {!Trace.span_seconds} is served
-    from [t] (so {!Span.rollups} seconds columns light up). Attach a
+    Chrome timeline; {!rollups} is where per-span wall seconds live
+    ({!Span.rollups} carries only logical costs). Attach a
     fresh recorder after {!Trace.clear} — clearing resets the hooks
     because path interning restarts. *)
 

@@ -11,13 +11,16 @@ exception
 
 exception Incomplete of { max_rounds : int; running : int }
 
+type wake = Run | Halt | Sleep_until of int
+
 type ('st, 'msg) program = {
   init : node:int -> neighbors:int array -> 'st;
   round :
+    round:int ->
     node:int ->
     state:'st ->
     inbox:(int * 'msg) list ->
-    'st * (int * 'msg) list * bool;
+    'st * (int * 'msg) list * wake;
 }
 
 type fault_stats = {
@@ -33,6 +36,7 @@ type stats = {
   rounds_used : int;
   total_messages : int;
   max_bits_seen : int;
+  node_steps : int;
   all_halted : bool;
   faults : fault_stats;
 }
@@ -81,6 +85,116 @@ let log_src = Logs.Src.create "congest.sim" ~doc:"CONGEST simulator"
 
 module Log = (val Logs.src_log log_src)
 
+(* ------------------------------------------------------------------ *)
+(* Wake-up queue                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Indexed binary min-heap of nodes ordered by (wake round, node id):
+   [heap.(0 .. size-1)] holds node ids, [pos.(v)] is v's slot ([-1] when
+   v has no pending wake-up) and [key.(v)] its wake round. Popping every
+   node due in a round therefore yields them in ascending id, the order
+   the dense loop stepped them in. All arrays are allocated once per run;
+   scheduling itself never allocates. *)
+type wakeq = {
+  heap : int array;
+  pos : int array;
+  key : int array;
+  mutable size : int;
+}
+
+let wakeq_create n =
+  {
+    heap = Array.make n 0;
+    pos = Array.make n (-1);
+    key = Array.make n 0;
+    size = 0;
+  }
+
+let wakeq_before q a b =
+  let ka = q.key.(a) and kb = q.key.(b) in
+  ka < kb || (ka = kb && a < b)
+[@@hot]
+
+let wakeq_place q i v =
+  q.heap.(i) <- v;
+  q.pos.(v) <- i
+[@@hot]
+
+let rec wakeq_sift_up q i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    let v = q.heap.(i) and p = q.heap.(parent) in
+    if wakeq_before q v p then begin
+      wakeq_place q parent v;
+      wakeq_place q i p;
+      wakeq_sift_up q parent
+    end
+  end
+[@@hot]
+
+let rec wakeq_sift_down q i =
+  let l = (2 * i) + 1 in
+  if l < q.size then begin
+    let r = l + 1 in
+    let c =
+      if r < q.size && wakeq_before q q.heap.(r) q.heap.(l) then r else l
+    in
+    let v = q.heap.(i) and w = q.heap.(c) in
+    if wakeq_before q w v then begin
+      wakeq_place q i w;
+      wakeq_place q c v;
+      wakeq_sift_down q c
+    end
+  end
+[@@hot]
+
+(* wake [v] at [round] at the latest: insert it, or decrease its key
+   when it is already queued for a later round *)
+let wakeq_push q v round =
+  let i = q.pos.(v) in
+  if i < 0 then begin
+    q.key.(v) <- round;
+    wakeq_place q q.size v;
+    q.size <- q.size + 1;
+    wakeq_sift_up q (q.size - 1)
+  end
+  else if round < q.key.(v) then begin
+    q.key.(v) <- round;
+    wakeq_sift_up q i
+  end
+[@@hot]
+
+(* the lowest-id node due at or before [round], removed from the queue;
+   [-1] when none is due *)
+let wakeq_pop_due q round =
+  if q.size = 0 then -1
+  else begin
+    let v = q.heap.(0) in
+    if q.key.(v) > round then -1
+    else begin
+      q.size <- q.size - 1;
+      q.pos.(v) <- -1;
+      if q.size > 0 then begin
+        wakeq_place q 0 q.heap.(q.size);
+        wakeq_sift_down q 0
+      end;
+      v
+    end
+  end
+[@@hot]
+
+(* Per-node crash and revive rounds of an adversary, ascending and
+   deduplicated: the simulator must visit a node on each of them so that
+   [Node_crashed] events and resumed steps land where a dense loop would
+   put them. *)
+let fault_rounds adv n =
+  let sp = Fault.spec_of adv in
+  let per = Array.make n [] in
+  List.iter
+    (fun (v, r) -> if v >= 0 && v < n then per.(v) <- r :: per.(v))
+    (sp.Fault.crashes @ sp.Fault.revives);
+  Array.map (fun rs -> Array.of_list (List.sort_uniq compare rs)) per
+
 let simulate ?(config = Config.default) ~bits g program =
   let {
     Config.max_rounds;
@@ -101,9 +215,47 @@ let simulate ?(config = Config.default) ~bits g program =
   let states = Array.init n (fun v -> program.init ~node:v ~neighbors:(Graph.neighbors g v)) in
   let inboxes = Array.make n [] in
   let halted = Array.make n false in
+  let halted_count = ref 0 in
   let total_messages = ref 0 in
   let max_bits_seen = ref 0 in
   let rounds_used = ref 0 in
+  let node_steps = ref 0 in
+  (* every node runs in round 1; afterwards a node is stepped only when
+     it has mail, its own wake-up is due, or an adversary crashes or
+     revives it *)
+  let wq = wakeq_create n in
+  for v = 0 to n - 1 do
+    wakeq_push wq v 1
+  done;
+  let faults_of =
+    match adversary with
+    | Some adv -> fault_rounds adv n
+    | None -> [||]
+  in
+  let fault_next = Array.make (Array.length faults_of) 0 in
+  (* first crash/revive round of [v] after [round], [max_int] if none *)
+  let next_fault_after v round =
+    if Array.length faults_of = 0 then max_int
+    else begin
+      let rs = faults_of.(v) in
+      let i = ref fault_next.(v) in
+      while !i < Array.length rs && rs.(!i) <= round do
+        incr i
+      done;
+      fault_next.(v) <- !i;
+      if !i < Array.length rs then rs.(!i) else max_int
+    end
+  in
+  (* duplicate-destination guard without per-step allocation:
+     [seen.(dst) = gen] marks dst as already hit by the current step *)
+  let seen = Array.make n 0 in
+  let gen = ref 0 in
+  let set_halted v h =
+    if h <> halted.(v) then begin
+      halted.(v) <- h;
+      if h then incr halted_count else decr halted_count
+    end
+  in
   (* arrivals.(future round) -> (dst, src, msg) in reverse send order; with
      no adversary everything lands exactly one round after it is sent, so
      the table holds a single entry *)
@@ -132,6 +284,106 @@ let simulate ?(config = Config.default) ~bits g program =
      when tracing is off *)
   let sent_this_round = ref 0 in
   let delivered_this_round = ref 0 in
+  let send ~round v (dst, msg) =
+    if not (Graph.is_edge g v dst) then
+      invalid_arg
+        (Printf.sprintf "Sim.simulate: node %d sent to non-neighbor %d" v dst);
+    if seen.(dst) = !gen then
+      invalid_arg
+        (Printf.sprintf "Sim.simulate: node %d sent twice to %d in one round"
+           v dst);
+    seen.(dst) <- !gen;
+    let b = bits msg in
+    if b > bandwidth then
+      raise (Bandwidth_exceeded { node = v; dst; round; bits = b; bandwidth });
+    if b > !max_bits_seen then begin
+      max_bits_seen := b;
+      match trace with
+      | None -> ()
+      | Some s ->
+          Trace.record s
+            (Trace.Bandwidth_high_water { round; node = v; bits = b })
+    end;
+    incr total_messages;
+    incr sent_this_round;
+    (match trace with
+    | None -> ()
+    | Some s -> Trace.emit_message_sent s ~round ~src:v ~dst ~bits:b);
+    match adversary with
+    | None -> schedule ~at:(round + 1) dst v msg
+    | Some adv ->
+        if Fault.is_crashed adv ~round dst then begin
+          Fault.count_drop adv;
+          match trace with
+          | None -> ()
+          | Some s ->
+              Trace.record s
+                (Trace.Message_dropped
+                   { round; src = v; dst; reason = Trace.Crashed_destination })
+        end
+        else (
+          match Fault.fate adv ~round ~src:v ~dst with
+          | Fault.Deliver -> schedule ~at:(round + 1) dst v msg
+          | Fault.Drop -> (
+              match trace with
+              | None -> ()
+              | Some s ->
+                  Trace.record s
+                    (Trace.Message_dropped
+                       { round; src = v; dst; reason = Trace.Adversary }))
+          | Fault.Duplicate d ->
+              schedule ~at:(round + 1) dst v msg;
+              schedule ~at:(round + 1 + d) dst v msg;
+              (match trace with
+              | None -> ()
+              | Some s ->
+                  Trace.record s
+                    (Trace.Message_duplicated
+                       { round; src = v; dst; copy_delay = d }))
+          | Fault.Delay d -> (
+              schedule ~at:(round + 1 + d) dst v msg;
+              match trace with
+              | None -> ()
+              | Some s ->
+                  Trace.record s
+                    (Trace.Message_delayed { round; src = v; dst; delay = d })))
+  in
+  (* visit node [v] in [round]; returns the round it next wants to run
+     in ([max_int] = only on mail) *)
+  let visit ~round v =
+    if crashed_at round v then begin
+      (match trace with
+      | None -> ()
+      | Some s ->
+          if not (crashed_at (round - 1) v) then
+            Trace.record s (Trace.Node_crashed { round; node = v }));
+      (* its inbox is empty: deliveries to a crashed node are dropped *)
+      set_halted v true;
+      max_int
+    end
+    else begin
+      let was_halted = halted.(v) in
+      let state, outgoing, wake =
+        program.round ~round ~node:v ~state:states.(v) ~inbox:inboxes.(v)
+      in
+      incr node_steps;
+      inboxes.(v) <- [];
+      states.(v) <- state;
+      let halt = match wake with Halt -> true | Run | Sleep_until _ -> false in
+      set_halted v halt;
+      (match trace with
+      | None -> ()
+      | Some s ->
+          if halt && not was_halted then
+            Trace.record s (Trace.Node_halted { round; node = v }));
+      incr gen;
+      List.iter (send ~round v) outgoing;
+      match wake with
+      | Run -> round + 1
+      | Halt -> max_int
+      | Sleep_until r -> max r (round + 1)
+    end
+  in
   let continue = ref true in
   while !continue && !rounds_used < max_rounds do
     incr rounds_used;
@@ -141,7 +393,8 @@ let simulate ?(config = Config.default) ~bits g program =
     (match trace with
     | None -> ()
     | Some s -> Trace.record s (Trace.Round_start { round }));
-    (* move deliveries due this round into the inboxes, in send order *)
+    (* move deliveries due this round into the inboxes, in send order,
+       and wake their recipients *)
     (match Hashtbl.find_opt arrivals round with
     | None -> ()
     | Some cell ->
@@ -161,6 +414,7 @@ let simulate ?(config = Config.default) ~bits g program =
             end
             else begin
               inboxes.(dst) <- (src, msg) :: inboxes.(dst);
+              wakeq_push wq dst round;
               incr delivered_this_round;
               match trace with
               | None -> ()
@@ -170,115 +424,18 @@ let simulate ?(config = Config.default) ~bits g program =
         (* cell is in reverse send order and the prepend above reverses
            again per destination: inboxes end up in send order *)
         Hashtbl.remove arrivals round);
-    for v = 0 to n - 1 do
-      if crashed_at round v then begin
-        (match trace with
-        | None -> ()
-        | Some s ->
-            if not (crashed_at (round - 1) v) then
-              Trace.record s (Trace.Node_crashed { round; node = v }));
-        halted.(v) <- true;
-        inboxes.(v) <- []
-      end
-      else begin
-        let was_halted = halted.(v) in
-        let state, outgoing, halt =
-          program.round ~node:v ~state:states.(v) ~inbox:inboxes.(v)
-        in
-        inboxes.(v) <- [];
-        states.(v) <- state;
-        halted.(v) <- halt;
-        (match trace with
-        | None -> ()
-        | Some s ->
-            if halt && not was_halted then
-              Trace.record s (Trace.Node_halted { round; node = v }));
-        let seen = Hashtbl.create 4 in
-        List.iter
-          (fun (dst, msg) ->
-            if not (Graph.is_edge g v dst) then
-              invalid_arg
-                (Printf.sprintf "Sim.simulate: node %d sent to non-neighbor %d" v dst);
-            if Hashtbl.mem seen dst then
-              invalid_arg
-                (Printf.sprintf "Sim.simulate: node %d sent twice to %d in one round"
-                   v dst);
-            Hashtbl.add seen dst ();
-            let b = bits msg in
-            if b > bandwidth then
-              raise (Bandwidth_exceeded { node = v; dst; round; bits = b; bandwidth });
-            if b > !max_bits_seen then begin
-              max_bits_seen := b;
-              match trace with
-              | None -> ()
-              | Some s ->
-                  Trace.record s
-                    (Trace.Bandwidth_high_water { round; node = v; bits = b })
-            end;
-            incr total_messages;
-            incr sent_this_round;
-            (match trace with
-            | None -> ()
-            | Some s -> Trace.emit_message_sent s ~round ~src:v ~dst ~bits:b);
-            match adversary with
-            | None -> schedule ~at:(round + 1) dst v msg
-            | Some adv ->
-                if Fault.is_crashed adv ~round dst then begin
-                  Fault.count_drop adv;
-                  match trace with
-                  | None -> ()
-                  | Some s ->
-                      Trace.record s
-                        (Trace.Message_dropped
-                           {
-                             round;
-                             src = v;
-                             dst;
-                             reason = Trace.Crashed_destination;
-                           })
-                end
-                else (
-                  match Fault.fate adv ~round ~src:v ~dst with
-                  | Fault.Deliver -> schedule ~at:(round + 1) dst v msg
-                  | Fault.Drop -> (
-                      match trace with
-                      | None -> ()
-                      | Some s ->
-                          Trace.record s
-                            (Trace.Message_dropped
-                               {
-                                 round;
-                                 src = v;
-                                 dst;
-                                 reason = Trace.Adversary;
-                               }))
-                  | Fault.Duplicate d ->
-                      schedule ~at:(round + 1) dst v msg;
-                      schedule ~at:(round + 1 + d) dst v msg;
-                      (match trace with
-                      | None -> ()
-                      | Some s ->
-                          Trace.record s
-                            (Trace.Message_duplicated
-                               { round; src = v; dst; copy_delay = d }))
-                  | Fault.Delay d -> (
-                      schedule ~at:(round + 1 + d) dst v msg;
-                      match trace with
-                      | None -> ()
-                      | Some s ->
-                          Trace.record s
-                            (Trace.Message_delayed
-                               { round; src = v; dst; delay = d }))))
-          outgoing
-      end
+    (* step every due node, lowest id first; a visit only ever asks for
+       a later round, so this drains exactly this round's nodes *)
+    let v = ref (wakeq_pop_due wq round) in
+    while !v >= 0 do
+      let node = !v in
+      let next = min (visit ~round node) (next_fault_after node round) in
+      if next < max_int then wakeq_push wq node next;
+      v := wakeq_pop_due wq round
     done;
-    let all_halted = Array.for_all (fun h -> h) halted in
     (match trace with
     | None -> ()
     | Some s ->
-        let halted_count =
-          Array.fold_left (fun acc h -> if h then acc + 1 else acc) 0 halted
-        in
         Trace.record s
           (Trace.Round_end
              {
@@ -286,15 +443,13 @@ let simulate ?(config = Config.default) ~bits g program =
                sent = !sent_this_round;
                delivered = !delivered_this_round;
                in_flight = !pending;
-               halted = halted_count;
+               halted = !halted_count;
              }));
-    if all_halted && !pending = 0 then continue := false
+    if !halted_count = n && !pending = 0 then continue := false
   done;
-  let all_halted = Array.for_all (fun h -> h) halted in
+  let all_halted = !halted_count = n in
   if (not all_halted) || !pending > 0 then begin
-    let running =
-      Array.fold_left (fun acc h -> if h then acc else acc + 1) 0 halted
-    in
+    let running = n - !halted_count in
     match on_incomplete with
     | `Ignore -> ()
     | `Warn ->
@@ -321,7 +476,7 @@ let simulate ?(config = Config.default) ~bits g program =
       rounds_used = !rounds_used;
       total_messages = !total_messages;
       max_bits_seen = !max_bits_seen;
+      node_steps = !node_steps;
       all_halted;
       faults;
     } )
-

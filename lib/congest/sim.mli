@@ -3,7 +3,9 @@
     Nodes run the same program; per round each node reads its inbox (one
     message per neighbor at most on a fault-free fabric; an adversary may
     duplicate or delay deliveries), updates its state, and emits at most
-    one message per incident edge. Message sizes are measured by a
+    one message per incident edge. Only nodes with mail or a due
+    wake-up are stepped (see {!wake} and {!simulate}); the others are
+    idle by contract. Message sizes are measured by a
     user-supplied [bits] function and checked against the bandwidth;
     exceeding it raises {!Bandwidth_exceeded} — this is how the ABCP96
     baseline's unbounded messages are surfaced.
@@ -32,18 +34,37 @@ exception Incomplete of { max_rounds : int; running : int }
 (** Raised by [`Raise] on incomplete runs: [max_rounds] elapsed with
     [running] nodes still not halted (or messages still in flight). *)
 
+type wake =
+  | Run  (** step me again next round *)
+  | Halt
+      (** vote to halt: sleep until a message arrives. A halted node
+          must stay idle when stepped with an empty inbox (conformance
+          check (d)), so the simulator does not step it at all. *)
+  | Sleep_until of int
+      (** stay running (not halted) but skip the rounds before this
+          1-based global round unless a message arrives first; a round
+          at or before the current one means [Run]. Sleeping is only a
+          hint: a node stepped early with an empty inbox must send
+          nothing and keep its vote, so mapping every [Sleep_until] to
+          [Run] changes no output, statistic, or trace. *)
+(** What a node asks of the scheduler after a round. *)
+
 type ('st, 'msg) program = {
   init : node:int -> neighbors:int array -> 'st;
       (** Initial state; a node knows its own identifier and its neighbors'
           (standard after one round of identifier exchange). *)
   round :
+    round:int ->
     node:int ->
     state:'st ->
     inbox:(int * 'msg) list ->
-    'st * (int * 'msg) list * bool;
-      (** [round ~node ~state ~inbox] returns the new state, outgoing
-          [(neighbor, message)] pairs, and whether the node votes to halt.
-          Sending twice to the same neighbor in one round is rejected. *)
+    'st * (int * 'msg) list * wake;
+      (** [round ~round ~node ~state ~inbox] returns the new state,
+          outgoing [(neighbor, message)] pairs, and the node's {!wake}.
+          [round] is the 1-based global round; a node is not stepped in
+          every round, so a program that needs the time reads it here
+          instead of counting its own invocations. Sending twice to the
+          same neighbor in one round is rejected. *)
 }
 
 type fault_stats = {
@@ -59,6 +80,9 @@ type stats = {
   rounds_used : int;
   total_messages : int;  (** program-sent messages (injected copies excluded) *)
   max_bits_seen : int;
+  node_steps : int;
+      (** calls to [program.round]: at most [rounds_used * n], usually
+          far fewer, since idle nodes are not stepped *)
   all_halted : bool;  (** false when stopped by [max_rounds] *)
   faults : fault_stats;  (** {!no_faults} when no adversary was given *)
 }
@@ -114,6 +138,15 @@ val simulate :
   'st array * stats
 (** Runs until every node votes to halt {e and} no message is in flight,
     or until [config.max_rounds] (default [4 * n + 16]).
+
+    {b Scheduling.} Every node is stepped in round 1. Afterwards a round
+    steps only the nodes that received a message this round, asked to
+    [Run], or whose [Sleep_until] round is due — in ascending node id,
+    so inboxes, adversary decisions and traces come out exactly as if
+    every node were stepped every round. Under an adversary a node is
+    also visited on each of its crash and revive rounds. Pending wake-ups
+    sit in an indexed min-heap of [(round, node)] that is allocated once
+    per run; [stats.node_steps] counts the steps taken.
     [config.bandwidth] defaults to {!Bits.bandwidth}. Returns final
     states (a crashed node's state is frozen at its crash round).
 

@@ -39,8 +39,6 @@ type rollup = {
   bits : int;
   bits_incl : int;
   max_message_bits : int;
-  seconds : float;
-  seconds_incl : float;
 }
 
 type acc = {
@@ -121,17 +119,9 @@ let rollups sink =
           charge ~rounds ~messages ~bits:0 ~maxb:max_bits
       | _ -> ())
     sink;
-  let secs = Trace.span_seconds sink in
-  List.iter (fun (p, _, _) -> ignore (get p)) secs;
-  let sec_of p =
-    match List.find_opt (fun (q, _, _) -> q = p) secs with
-    | Some (_, self, incl) -> (self, incl)
-    | None -> (0.0, 0.0)
-  in
   List.rev_map
     (fun path ->
       let a = Hashtbl.find tbl path in
-      let seconds, seconds_incl = sec_of path in
       {
         path;
         depth = path_depth path;
@@ -143,8 +133,6 @@ let rollups sink =
         bits = a.a_bits;
         bits_incl = a.a_bits_incl;
         max_message_bits = a.a_max_bits;
-        seconds;
-        seconds_incl;
       })
     !order
 
@@ -200,19 +188,19 @@ let of_folded text =
 let rollup_csv rs =
   let b = Buffer.create 1024 in
   Buffer.add_string b
-    "path,depth,entries,rounds,rounds_incl,messages,messages_incl,bits,bits_incl,max_message_bits,seconds,seconds_incl\n";
+    "path,depth,entries,rounds,rounds_incl,messages,messages_incl,bits,bits_incl,max_message_bits\n";
   List.iter
     (fun r ->
       Buffer.add_string b
-        (Printf.sprintf "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.6f,%.6f\n" r.path
-           r.depth r.entries r.rounds r.rounds_incl r.messages r.messages_incl
-           r.bits r.bits_incl r.max_message_bits r.seconds r.seconds_incl))
+        (Printf.sprintf "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d\n" r.path r.depth
+           r.entries r.rounds r.rounds_incl r.messages r.messages_incl r.bits
+           r.bits_incl r.max_message_bits))
     rs;
   Buffer.contents b
 
 let pp_rollups ppf rs =
-  Format.fprintf ppf "%-52s %10s %10s %10s %9s@." "phase" "rounds" "messages"
-    "bits" "seconds";
+  Format.fprintf ppf "%-52s %10s %10s %10s@." "phase" "rounds" "messages"
+    "bits";
   List.iter
     (fun r ->
       let indent = String.make (2 * max 0 (r.depth - 1)) ' ' in
@@ -221,9 +209,8 @@ let pp_rollups ppf rs =
         | Some i -> String.sub r.path (i + 1) (String.length r.path - i - 1)
         | None -> r.path
       in
-      Format.fprintf ppf "%-52s %10d %10d %10d %9.4f@."
-        (indent ^ label)
-        r.rounds_incl r.messages_incl r.bits_incl r.seconds_incl)
+      Format.fprintf ppf "%-52s %10d %10d %10d@." (indent ^ label)
+        r.rounds_incl r.messages_incl r.bits_incl)
     rs
 
 let ensure_dir dir =

@@ -14,10 +14,10 @@
     cost goes to the innermost open span — or to the ["(unspanned)"]
     bucket when none is open, so per-span self totals always sum exactly
     to the {!Metrics.of_trace} globals — and its {e inclusive} cost to
-    every open ancestor. Wall-clock seconds are measured at
-    {!val-enter}/{!val-exit} but kept in sink-local side tables rather
-    than the event stream, so traces of identical runs remain
-    byte-identical. *)
+    every open ancestor. Rollups are purely logical, so identical runs
+    give identical rollups; wall-clock seconds and GC words per span
+    come from a {!Resource} recorder attached to the sink
+    ({!Resource.rollups}). *)
 
 val unspanned : string
 (** The synthetic bucket for events recorded while no span is open. *)
@@ -51,8 +51,6 @@ type rollup = {
   bits : int;  (** self: total [Message_sent] payload bits *)
   bits_incl : int;
   max_message_bits : int;  (** largest message/charge watermark seen *)
-  seconds : float;  (** self wall seconds (excludes child spans) *)
-  seconds_incl : float;  (** enter-to-exit wall seconds *)
 }
 
 val rollups : Trace.sink -> rollup list
@@ -76,7 +74,7 @@ val of_folded : string -> ((string * int) list, string) result
 
 val rollup_csv : rollup list -> string
 (** One row per path with all self and inclusive columns; header
-    [path,depth,entries,rounds,rounds_incl,...,seconds,seconds_incl]. *)
+    [path,depth,entries,rounds,rounds_incl,...,max_message_bits]. *)
 
 val pp_rollups : Format.formatter -> rollup list -> unit
 (** Indented per-phase table (inclusive columns), for CLI output. *)

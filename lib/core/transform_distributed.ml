@@ -28,8 +28,8 @@ let bfs_stage ?trace g ~mask ~source =
           if node = source then { dist = 0; parent = source; announced = false }
           else { dist = -1; parent = -1; announced = false });
       round =
-        (fun ~node ~state ~inbox ->
-          if not (Mask.mem mask node) then (state, [], true)
+        (fun ~round:_ ~node ~state ~inbox ->
+          if not (Mask.mem mask node) then (state, [], Congest.Sim.Halt)
           else
             let state =
               if state.dist >= 0 then state
@@ -50,8 +50,8 @@ let bfs_stage ?trace g ~mask ~source =
                 Array.to_list
                   (Array.map (fun nb -> (nb, state.dist)) (Graph.neighbors g node))
               in
-              ({ state with announced = true }, out, false)
-            else (state, [], true));
+              ({ state with announced = true }, out, Congest.Sim.Run)
+            else (state, [], Congest.Sim.Halt));
     }
   in
   let states, stats =
@@ -71,7 +71,6 @@ let bfs_stage ?trace g ~mask ~source =
 type count_msg = Child | Pair of int * int
 
 type count_state = {
-  round_no : int;
   pending : int;
   acc_a : int;
   acc_b : int;
@@ -86,38 +85,38 @@ let pair_counts_stage ?trace g ~parent ~contrib =
       Congest.Sim.init =
         (fun ~node ~neighbors:_ ->
           let a, b = contrib node in
-          { round_no = 0; pending = 0; acc_a = a; acc_b = b; sent_up = false });
+          { pending = 0; acc_a = a; acc_b = b; sent_up = false });
       round =
-        (fun ~node ~state ~inbox ->
-          if parent.(node) = -1 then (state, [], true)
+        (fun ~round ~node ~state ~inbox ->
+          if parent.(node) = -1 then (state, [], Congest.Sim.Halt)
+          else if round = 1 then
+            let out =
+              if parent.(node) <> node then [ (parent.(node), Child) ] else []
+            in
+            (state, out, Congest.Sim.Run)
           else
-            let state = { state with round_no = state.round_no + 1 } in
-            if state.round_no = 1 then
-              let out =
-                if parent.(node) <> node then [ (parent.(node), Child) ] else []
-              in
-              (state, out, false)
-            else
-              let state =
-                List.fold_left
-                  (fun st (_, m) ->
-                    match m with
-                    | Child -> { st with pending = st.pending + 1 }
-                    | Pair (a, b) ->
-                        {
-                          st with
-                          pending = st.pending - 1;
-                          acc_a = st.acc_a + a;
-                          acc_b = st.acc_b + b;
-                        })
-                  state inbox
-              in
-              let is_root = parent.(node) = node in
-              if state.pending = 0 && (not state.sent_up) && not is_root then
-                ( { state with sent_up = true },
-                  [ (parent.(node), Pair (state.acc_a, state.acc_b)) ],
-                  false )
-              else (state, [], state.sent_up || (is_root && state.pending = 0)));
+            let state =
+              List.fold_left
+                (fun st (_, m) ->
+                  match m with
+                  | Child -> { st with pending = st.pending + 1 }
+                  | Pair (a, b) ->
+                      {
+                        st with
+                        pending = st.pending - 1;
+                        acc_a = st.acc_a + a;
+                        acc_b = st.acc_b + b;
+                      })
+                state inbox
+            in
+            let is_root = parent.(node) = node in
+            if state.pending = 0 && (not state.sent_up) && not is_root then
+              ( { state with sent_up = true },
+                [ (parent.(node), Pair (state.acc_a, state.acc_b)) ],
+                Congest.Sim.Run )
+            else if state.sent_up || (is_root && state.pending = 0) then
+              (state, [], Congest.Sim.Halt)
+            else (state, [], Congest.Sim.Run));
     }
   in
   let states, stats =
@@ -146,8 +145,8 @@ let broadcast_stage ?trace g ~parent ~root ~value =
           if node = root then { value; relayed = false }
           else { value = -1; relayed = false });
       round =
-        (fun ~node ~state ~inbox ->
-          if parent.(node) = -1 then (state, [], true)
+        (fun ~round:_ ~node ~state ~inbox ->
+          if parent.(node) = -1 then (state, [], Congest.Sim.Halt)
           else
             let state =
               match inbox with
@@ -159,9 +158,10 @@ let broadcast_stage ?trace g ~parent ~root ~value =
               Graph.iter_neighbors g node (fun w ->
                   if parent.(w) = node && w <> node then
                     out := (w, state.value) :: !out);
-              ({ state with relayed = true }, !out, false)
+              ({ state with relayed = true }, !out, Congest.Sim.Run)
             end
-            else (state, [], state.value >= 0));
+            else if state.value >= 0 then (state, [], Congest.Sim.Halt)
+            else (state, [], Congest.Sim.Run));
     }
   in
   let states, stats =

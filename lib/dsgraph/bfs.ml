@@ -12,13 +12,19 @@ let multi_distances ?mask g ~sources =
         Queue.add s queue
       end)
     sources;
+  (* the per-edge loop runs straight over the CSR arrays: no closure
+     call per edge in the all-pairs loops of the diameter checks *)
+  let offsets = Graph.offsets g and targets = Graph.targets g in
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
-    Graph.iter_neighbors g u (fun v ->
-        if alive mask v && dist.(v) = -1 then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v queue
-        end)
+    let du = dist.(u) + 1 in
+    for i = offsets.{u} to offsets.{u + 1} - 1 do
+      let v = targets.{i} in
+      if dist.(v) = -1 && alive mask v then begin
+        dist.(v) <- du;
+        Queue.add v queue
+      end
+    done
   done;
   dist
 
@@ -112,20 +118,19 @@ let distances_into ?mask g ~source ~dist ~queue =
     queue.(0) <- source;
     let head = (ref 0 [@alloc_ok "two cursor cells per call, not per node"])
     and tail = (ref 1 [@alloc_ok "two cursor cells per call, not per node"]) in
+    let offsets = Graph.offsets g and targets = Graph.targets g in
     while !head < !tail do
       let u = queue.(!head) in
       incr head;
-      let du = dist.(u) in
-      Graph.iter_neighbors g u
-        ((fun v ->
-           if alive mask v && dist.(v) = -1 then begin
-             dist.(v) <- du + 1;
-             queue.(!tail) <- v;
-             incr tail
-           end)
-        [@alloc_ok
-          "one visitor closure per dequeued node; capturing du keeps \
-           the loop branch-free and the closure dies in the minor heap"])
+      let du = dist.(u) + 1 in
+      for i = offsets.{u} to offsets.{u + 1} - 1 do
+        let v = targets.{i} in
+        if dist.(v) = -1 && alive mask v then begin
+          dist.(v) <- du;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      done
     done;
     !tail
   end

@@ -36,7 +36,6 @@ type nstate = {
   counts : (int, int * int) Hashtbl.t; (* cluster -> (#reports, sum) *)
   sent_up : (int, unit) Hashtbl.t;
   outq : (int, msg Queue.t) Hashtbl.t;
-  mutable round_in_step : int;
   mutable steps_left_in_phase : int;
   mutable phases_left : int list; (* step counts of the remaining phases *)
   mutable bit : int; (* current phase's bit *)
@@ -206,7 +205,6 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
       st.trees
   in
   let start_step st =
-    st.round_in_step <- 1;
     Hashtbl.reset st.props;
     Hashtbl.reset st.counts;
     Hashtbl.reset st.sent_up;
@@ -235,8 +233,7 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
       match rest with
       | [] ->
           st.steps_left_in_phase <- 0;
-          st.phases_left <- [];
-          st.round_in_step <- 0
+          st.phases_left <- []
       | s :: r ->
           st.bit <- st.bit + 1;
           start_phase st s r)
@@ -265,7 +262,6 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
               counts = Hashtbl.create 4;
               sent_up = Hashtbl.create 4;
               outq = Hashtbl.create (Array.length nbrs);
-              round_in_step = 0;
               steps_left_in_phase = 0;
               phases_left = [];
               bit = 0;
@@ -287,37 +283,48 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
                  start_phase st steps rest);
           st);
       round =
-        (fun ~node ~state:st ~inbox ->
-          ignore node;
-          (* schedule bookkeeping: advance step/phase on budget expiry *)
+        (fun ~round ~node:_ ~state:st ~inbox ->
+          (* step clock, derived from the global round: the first step
+             starts before round 1 and a new one at every multiple of the
+             budget, so [round_in_step] runs 1 .. step_budget *)
+          let into_step = round mod step_budget in
+          let round_in_step = into_step + 1 in
           let active = st.steps_left_in_phase > 0 || st.phases_left <> [] in
-          if active then begin
-            if st.round_in_step >= step_budget then begin
-              st.steps_left_in_phase <- st.steps_left_in_phase - 1;
-              if st.steps_left_in_phase > 0 then start_step st
-              else
-                match st.phases_left with
-                | [] -> st.round_in_step <- 0 (* schedule finished *)
-                | steps :: rest ->
-                    st.bit <- st.bit + 1;
-                    start_phase st steps rest
-            end
-            else st.round_in_step <- st.round_in_step + 1
+          if active && into_step = 0 then begin
+            st.steps_left_in_phase <- st.steps_left_in_phase - 1;
+            if st.steps_left_in_phase > 0 then start_step st
+            else
+              match st.phases_left with
+              | [] -> () (* schedule finished *)
+              | steps :: rest ->
+                  st.bit <- st.bit + 1;
+                  start_phase st steps rest
           end;
           List.iter (fun (s, m) -> process st s m) inbox;
-          if st.round_in_step >= 4 && st.steps_left_in_phase > 0 then
+          if round_in_step >= 4 && st.steps_left_in_phase > 0 then
             aggregate st;
           (* drain one message per edge *)
-          let out = ref [] in
+          let out = ref [] and backlog = ref false in
           Hashtbl.iter
             (fun nbr q ->
-              if not (Queue.is_empty q) then out := (nbr, Queue.pop q) :: !out)
+              if not (Queue.is_empty q) then begin
+                out := (nbr, Queue.pop q) :: !out;
+                if not (Queue.is_empty q) then backlog := true
+              end)
             st.outq;
-          let done_ =
-            st.steps_left_in_phase = 0 && st.phases_left = []
-            && !out = []
+          let wake =
+            if st.steps_left_in_phase = 0 && st.phases_left = [] then
+              if !out = [] then Congest.Sim.Halt else Congest.Sim.Run
+            else if !backlog then Congest.Sim.Run
+            else
+              (* idle until mail, the round-4 aggregation point of this
+                 step, or the next step boundary, whichever comes first:
+                 between those, an empty inbox leaves the state alone *)
+              Congest.Sim.Sleep_until
+                (if round_in_step < 4 then round + (4 - round_in_step)
+                 else round - into_step + step_budget)
           in
-          (st, !out, done_));
+          (st, !out, wake));
     }
   in
   let bits = function

@@ -85,13 +85,19 @@ let adversary_spec ~seed ~n =
     ~crashes:[ (n / 3, 6); ((2 * n / 3) + 1, 10) ]
     ()
 
-let sim_totals (s : Congest.Sim.stats) =
+let sim_totals ~n (s : Congest.Sim.stats) =
   [
     Conformance.Sim_totals
       {
         rounds = s.Congest.Sim.rounds_used;
         messages = s.Congest.Sim.total_messages;
         max_bits = s.Congest.Sim.max_bits_seen;
+      };
+    Conformance.Sim_steps
+      {
+        node_steps = s.Congest.Sim.node_steps;
+        rounds = s.Congest.Sim.rounds_used;
+        nodes = n;
       };
   ]
 
@@ -120,13 +126,13 @@ let program_rows ?(seed = 42) ?(epsilon = 0.5) ~adversarial family ~n =
             Congest.Programs.leader_election ?adversary:adv ~conformance:inst
               ~trace:sink g
           in
-          sim_totals stats);
+          sim_totals ~n:gn stats);
       mk "program:bfs" ~order_invariant:false (fun inst adv sink ->
           let _, stats =
             Congest.Programs.bfs ?adversary:adv ~conformance:inst ~trace:sink
               g ~source:0
           in
-          sim_totals stats);
+          sim_totals ~n:gn stats);
       mk "program:subtree_counts" ~order_invariant:true
         (fun inst adv sink ->
           let parent = Dsgraph.Bfs.parents g ~source:0 in
@@ -134,7 +140,7 @@ let program_rows ?(seed = 42) ?(epsilon = 0.5) ~adversarial family ~n =
             Congest.Programs.subtree_counts ?adversary:adv ~conformance:inst
               ~trace:sink g ~parent
           in
-          sim_totals stats);
+          sim_totals ~n:gn stats);
     ]
   in
   let carvings =
@@ -150,21 +156,21 @@ let program_rows ?(seed = 42) ?(epsilon = 0.5) ~adversarial family ~n =
                 ~conformance:inst ~trace:sink (Dsgraph.Rng.create seed) g
                 ~epsilon
             in
-            sim_totals r.Baseline.Ls_distributed.sim_stats);
+            sim_totals ~n:gn r.Baseline.Ls_distributed.sim_stats);
         mk "program:weakdiam_reliable" ~order_invariant:false
           (fun inst adv sink ->
             let r =
               Weakdiam.Distributed.carve_reliable ?adversary:adv
                 ~conformance:inst ~trace:sink g ~epsilon
             in
-            sim_totals r.Weakdiam.Distributed.r_sim_stats);
+            sim_totals ~n:gn r.Weakdiam.Distributed.r_sim_stats);
         mk "program:mpx_partition" ~order_invariant:false
           (fun inst adv sink ->
             let r =
               Baseline.Mpx_distributed.partition ~seed ?adversary:adv
                 ~conformance:inst ~trace:sink g ~beta:0.4
             in
-            sim_totals r.Baseline.Mpx_distributed.sim_stats);
+            sim_totals ~n:gn r.Baseline.Mpx_distributed.sim_stats);
       ]
     else
       [
@@ -173,21 +179,21 @@ let program_rows ?(seed = 42) ?(epsilon = 0.5) ~adversarial family ~n =
               Baseline.Ls_distributed.attempt ~conformance:inst ~trace:sink
                 (Dsgraph.Rng.create seed) g ~epsilon
             in
-            sim_totals stats);
+            sim_totals ~n:gn stats);
         mk "program:weakdiam_sim" ~order_invariant:false
           (fun inst _adv sink ->
             let r =
               Weakdiam.Distributed.carve ~conformance:inst ~trace:sink g
                 ~epsilon
             in
-            sim_totals r.Weakdiam.Distributed.sim_stats);
+            sim_totals ~n:gn r.Weakdiam.Distributed.sim_stats);
         mk "program:mpx_partition" ~order_invariant:false
           (fun inst _adv sink ->
             let r =
               Baseline.Mpx_distributed.partition ~seed ~conformance:inst
                 ~trace:sink g ~beta:0.4
             in
-            sim_totals r.Baseline.Mpx_distributed.sim_stats);
+            sim_totals ~n:gn r.Baseline.Mpx_distributed.sim_stats);
       ]
   in
   classic @ carvings

@@ -225,11 +225,13 @@ let side_of_report_json ~label text =
         let res_rollups =
           as_arr (opt_member "rollups" (member "resources" doc))
         in
-        let minor_words_of path =
+        (* logical costs come from the span rollups, wall seconds and
+           words from the resource rollups, joined by path *)
+        let resource_of field path =
           List.fold_left
             (fun acc r ->
               if as_str (member "path" r) = Some path then
-                num_or acc (member "minor_words" r)
+                num_or acc (member field r)
               else acc)
             0.0 res_rollups
         in
@@ -243,8 +245,8 @@ let side_of_report_json ~label text =
                 rounds = num_or 0.0 (member "rounds" r);
                 messages = num_or 0.0 (member "messages" r);
                 bits = num_or 0.0 (member "bits" r);
-                seconds = num_or 0.0 (member "seconds" r);
-                minor_words = minor_words_of path;
+                seconds = resource_of "seconds" path;
+                minor_words = resource_of "minor_words" path;
               })
             (as_arr (member "rollups" doc))
         in

@@ -278,13 +278,12 @@ let to_json t =
        (List.map
           (fun (r : Congest.Span.rollup) ->
             Printf.sprintf
-              "{\"path\":%s,\"depth\":%d,\"entries\":%d,\"rounds\":%d,\"rounds_incl\":%d,\"messages\":%d,\"messages_incl\":%d,\"bits\":%d,\"bits_incl\":%d,\"max_message_bits\":%d,\"seconds\":%.6f,\"seconds_incl\":%.6f}"
+              "{\"path\":%s,\"depth\":%d,\"entries\":%d,\"rounds\":%d,\"rounds_incl\":%d,\"messages\":%d,\"messages_incl\":%d,\"bits\":%d,\"bits_incl\":%d,\"max_message_bits\":%d}"
               (jstr r.Congest.Span.path) r.Congest.Span.depth
               r.Congest.Span.entries r.Congest.Span.rounds
               r.Congest.Span.rounds_incl r.Congest.Span.messages
               r.Congest.Span.messages_incl r.Congest.Span.bits
-              r.Congest.Span.bits_incl r.Congest.Span.max_message_bits
-              r.Congest.Span.seconds r.Congest.Span.seconds_incl)
+              r.Congest.Span.bits_incl r.Congest.Span.max_message_bits)
           t.rollups));
   let tot = t.res_totals in
   add

@@ -18,9 +18,9 @@ let cheating_program g =
   {
     Congest.Sim.init = (fun ~node ~neighbors:_ -> node);
     round =
-      (fun ~node ~state ~inbox:_ ->
+      (fun ~round:_ ~node ~state ~inbox:_ ->
         print_endline "leaking state through stdout";
         Printf.printf "node %d\n" node;
         ignore g;
-        (state, [], true));
+        (state, [], Congest.Sim.Halt));
   }

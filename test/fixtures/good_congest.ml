@@ -11,8 +11,8 @@ let honest_program g =
   {
     Congest.Sim.init = (fun ~node ~neighbors:_ -> node);
     round =
-      (fun ~node ~state ~inbox:_ ->
+      (fun ~round:_ ~node ~state ~inbox:_ ->
         ignore g;
         ignore node;
-        (state, [], true));
+        (state, [], Congest.Sim.Halt));
   }

@@ -65,15 +65,14 @@ let test_churn_validation () =
 (* Adaptive backoff transport                                          *)
 (* ------------------------------------------------------------------ *)
 
-type chat_state = { r : int; log : (int * (int * int) list) list }
+type chat_state = { log : (int * (int * int) list) list }
 
 let chatter ~talk g =
   {
-    Sim.init = (fun ~node:_ ~neighbors:_ -> { r = 0; log = [] });
+    Sim.init = (fun ~node:_ ~neighbors:_ -> { log = [] });
     round =
-      (fun ~node ~state ~inbox ->
-        let r = state.r + 1 in
-        let state = { r; log = (r, inbox) :: state.log } in
+      (fun ~round:r ~node ~state ~inbox ->
+        let state = { log = (r, inbox) :: state.log } in
         if r <= talk then
           let out =
             Array.to_list
@@ -81,8 +80,8 @@ let chatter ~talk g =
                  (fun nb -> (nb, (node * 1000) + r))
                  (Graph.neighbors g node))
           in
-          (state, out, false)
-        else (state, [], true));
+          (state, out, Sim.Run)
+        else (state, [], Sim.Halt));
   }
 
 let chat_bits _ = 8

@@ -21,7 +21,7 @@ let invariants violations =
    on the edge cheats before we could observe the recording) *)
 let direct_round g program ~node ~inbox =
   let state = program.Sim.init ~node ~neighbors:(Graph.neighbors g node) in
-  program.Sim.round ~node ~state ~inbox
+  program.Sim.round ~round:1 ~node ~state ~inbox
 
 let test_edge_discipline () =
   let g = Gen.path 3 in
@@ -30,9 +30,9 @@ let test_edge_discipline () =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> ());
       round =
-        (fun ~node:_ ~state:_ ~inbox:_ ->
+        (fun ~round:_ ~node:_ ~state:_ ~inbox:_ ->
           (* node 0: 2 is not a neighbor, and 1 is hit twice *)
-          ((), [ (2, ()); (1, ()); (1, ()) ], true));
+          ((), [ (2, ()); (1, ()); (1, ()) ], Sim.Halt));
     }
   in
   let wrapped = Conformance.instrument rec_ g cheat in
@@ -50,21 +50,61 @@ let test_halt_monotonicity () =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> ());
       round =
-        (fun ~node:_ ~state:_ ~inbox:_ ->
+        (fun ~round:_ ~node:_ ~state:_ ~inbox:_ ->
           incr calls;
-          if !calls = 1 then ((), [], true) (* vote halt *)
-          else ((), [ (1, ()) ], false) (* then spontaneously wake up *));
+          if !calls = 1 then ((), [], Sim.Halt) (* vote halt *)
+          else ((), [ (1, ()) ], Sim.Run) (* then spontaneously wake up *));
     }
   in
   let wrapped = Conformance.instrument rec_ g cheat in
   let state = wrapped.Sim.init ~node:0 ~neighbors:(Graph.neighbors g 0) in
-  let state, _, _ = wrapped.Sim.round ~node:0 ~state ~inbox:[] in
-  let _ = wrapped.Sim.round ~node:0 ~state ~inbox:[] in
+  let state, _, _ = wrapped.Sim.round ~round:1 ~node:0 ~state ~inbox:[] in
+  let _ = wrapped.Sim.round ~round:2 ~node:0 ~state ~inbox:[] in
   let vs = Conformance.recorded rec_ in
   check (Alcotest.list Alcotest.string) "halt cheat flagged"
     [ "halt-monotonic" ] (invariants vs);
   (* spontaneous send and the un-halt are separate findings *)
   check int "both symptoms recorded" 2 (List.length vs)
+
+(* (d) for sleepers: node 0 promises to sleep until round 4, then sends
+   and halts in round 2 on an empty inbox *)
+let early_riser =
+  {
+    Sim.init = (fun ~node:_ ~neighbors:_ -> ());
+    round =
+      (fun ~round ~node ~state:_ ~inbox:_ ->
+        match (node, round) with
+        | 0, 1 -> ((), [], Sim.Sleep_until 4)
+        | 0, 2 -> ((), [ (1, ()) ], Sim.Halt)
+        | _ -> ((), [], Sim.Halt));
+  }
+
+let test_sleep_monotonicity () =
+  let g = Gen.path 2 in
+  let rec_ = Conformance.recorder () in
+  let wrapped = Conformance.instrument rec_ g early_riser in
+  let state = wrapped.Sim.init ~node:0 ~neighbors:(Graph.neighbors g 0) in
+  let state, _, _ = wrapped.Sim.round ~round:1 ~node:0 ~state ~inbox:[] in
+  let _ = wrapped.Sim.round ~round:2 ~node:0 ~state ~inbox:[] in
+  let vs = Conformance.recorded rec_ in
+  check (Alcotest.list Alcotest.string) "early riser flagged"
+    [ "halt-monotonic" ] (invariants vs);
+  check int "send and halt recorded" 2 (List.length vs);
+  (* under Sim the sleeper is never stepped early: clean by construction *)
+  Conformance.clear rec_;
+  ignore (Sim.simulate ~bits:(fun _ -> 1) g wrapped);
+  check int "clean under Sim" 0 (List.length (Conformance.recorded rec_));
+  (* the reliable transport runs its inner program every inner round, so
+     the check still bites there *)
+  let r =
+    Congest.Reliable.simulate
+      (Congest.Reliable.config ~inner_rounds:4 ())
+      ~bits:(fun _ -> 1) g wrapped
+  in
+  check bool "reliable run finished" true r.Congest.Reliable.finished.(0);
+  check (Alcotest.list Alcotest.string) "flagged under Reliable"
+    [ "halt-monotonic" ]
+    (invariants (Conformance.recorded rec_))
 
 let test_order_invariance_flagged () =
   let g = Gen.path 3 in
@@ -73,12 +113,12 @@ let test_order_invariance_flagged () =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> 0);
       round =
-        (fun ~node:_ ~state ~inbox ->
+        (fun ~round:_ ~node:_ ~state ~inbox ->
           (* state = first sender in inbox order: order-dependent *)
           let state =
             match inbox with (u, _) :: _ -> u | [] -> state
           in
-          (state, [], true));
+          (state, [], Sim.Halt));
     }
   in
   let wrapped =
@@ -105,7 +145,7 @@ let flood g =
   {
     Sim.init = (fun ~node ~neighbors:_ -> (node, true));
     round =
-      (fun ~node ~state:(best, dirty) ~inbox ->
+      (fun ~round:_ ~node ~state:(best, dirty) ~inbox ->
         let best' =
           List.fold_left (fun acc (_, m) -> min acc m) best inbox
         in
@@ -113,8 +153,8 @@ let flood g =
           ( (best', false),
             Array.to_list
               (Array.map (fun nb -> (nb, best')) (Graph.neighbors g node)),
-            false )
-        else ((best', false), [], true));
+            Sim.Run )
+        else ((best', false), [], Sim.Halt));
   }
 
 let find_check name (r : Conformance.report) =
@@ -145,11 +185,11 @@ let test_verify_program_catches_nondeterminism () =
     {
       Sim.init = (fun ~node ~neighbors:_ -> node);
       round =
-        (fun ~node ~state ~inbox:_ ->
+        (fun ~round:_ ~node ~state ~inbox:_ ->
           incr poison;
           if state >= 0 && node = 0 then
-            (-1, [ (1, !poison) ], false)
-          else (state, [], true));
+            (-1, [ (1, !poison) ], Sim.Run)
+          else (state, [], Sim.Halt));
     }
   in
   let report =
@@ -172,7 +212,7 @@ let test_verify_program_catches_order_cheat () =
       Sim.init =
         (fun ~node ~neighbors:_ -> if node = 0 then (0, false) else (-1, false));
       round =
-        (fun ~node ~state:(parent, announced) ~inbox ->
+        (fun ~round:_ ~node ~state:(parent, announced) ~inbox ->
           let parent =
             if parent >= 0 then parent
             else match inbox with (u, _) :: _ -> u | [] -> -1
@@ -181,8 +221,8 @@ let test_verify_program_catches_order_cheat () =
             ( (parent, true),
               Array.to_list
                 (Array.map (fun nb -> (nb, ())) (Graph.neighbors g node)),
-              false )
-          else ((parent, announced), [], true));
+              Sim.Run )
+          else ((parent, announced), [], Sim.Halt));
     }
   in
   let report =
@@ -227,6 +267,8 @@ let () =
           Alcotest.test_case "edge discipline" `Quick test_edge_discipline;
           Alcotest.test_case "halt monotonicity" `Quick
             test_halt_monotonicity;
+          Alcotest.test_case "sleep monotonicity" `Quick
+            test_sleep_monotonicity;
           Alcotest.test_case "order invariance flagged" `Quick
             test_order_invariance_flagged;
           Alcotest.test_case "honest program clean" `Quick

@@ -94,15 +94,15 @@ let gossip_program g =
   {
     Sim.init = (fun ~node ~neighbors:_ -> { sent = false; best = node });
     round =
-      (fun ~node ~state ~inbox ->
+      (fun ~round:_ ~node ~state ~inbox ->
         let best = List.fold_left (fun acc (_, m) -> max acc m) state.best inbox in
         if not state.sent then
           let out =
             Array.to_list
               (Array.map (fun nb -> (nb, node)) (Graph.neighbors g node))
           in
-          ({ sent = true; best }, out, false)
-        else ({ state with best }, [], true));
+          ({ sent = true; best }, out, Sim.Run)
+        else ({ state with best }, [], Sim.Halt));
   }
 
 let test_sim_delivers_messages () =
@@ -122,7 +122,8 @@ let test_sim_bandwidth_enforced () =
   let oversized =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> ());
-      round = (fun ~node:_ ~state:_ ~inbox:_ -> ((), [ (1, ()) ], true));
+      round =
+        (fun ~round:_ ~node:_ ~state:_ ~inbox:_ -> ((), [ (1, ()) ], Sim.Halt));
     }
   in
   Alcotest.check_raises "bandwidth"
@@ -141,8 +142,8 @@ let test_sim_rejects_non_neighbor () =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> ());
       round =
-        (fun ~node ~state:_ ~inbox:_ ->
-          if node = 0 then ((), [ (2, ()) ], true) else ((), [], true));
+        (fun ~round:_ ~node ~state:_ ~inbox:_ ->
+          if node = 0 then ((), [ (2, ()) ], Sim.Halt) else ((), [], Sim.Halt));
     }
   in
   Alcotest.check_raises "non neighbor"
@@ -155,8 +156,9 @@ let test_sim_rejects_double_send () =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> ());
       round =
-        (fun ~node ~state:_ ~inbox:_ ->
-          if node = 0 then ((), [ (1, ()); (1, ()) ], true) else ((), [], true));
+        (fun ~round:_ ~node ~state:_ ~inbox:_ ->
+          if node = 0 then ((), [ (1, ()); (1, ()) ], Sim.Halt)
+          else ((), [], Sim.Halt));
     }
   in
   Alcotest.check_raises "double send"
@@ -168,7 +170,7 @@ let test_sim_max_rounds_cutoff () =
   let forever =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> ());
-      round = (fun ~node:_ ~state:_ ~inbox:_ -> ((), [], false));
+      round = (fun ~round:_ ~node:_ ~state:_ ~inbox:_ -> ((), [], Sim.Run));
     }
   in
   let _, stats =
@@ -179,6 +181,104 @@ let test_sim_max_rounds_cutoff () =
   in
   check int "cut off" 7 stats.rounds_used;
   check bool "not halted" false stats.all_halted
+
+(* Node 0 sleeps until round 5, then messages node 1, which halted in
+   round 1: each node is stepped only when due or when mail arrives. *)
+let test_sim_steps_only_due_nodes () =
+  let g = Gen.path 2 in
+  let program =
+    {
+      Sim.init = (fun ~node:_ ~neighbors:_ -> []);
+      round =
+        (fun ~round ~node ~state ~inbox:_ ->
+          let state = round :: state in
+          match (node, round) with
+          | 0, 1 -> (state, [], Sim.Sleep_until 5)
+          | 0, 5 -> (state, [ (1, ()) ], Sim.Halt)
+          | _ -> (state, [], Sim.Halt));
+    }
+  in
+  let states, stats = Sim.simulate ~bits:(fun _ -> 1) g program in
+  Alcotest.(check (list int)) "node 0 stepped at 1 and 5" [ 5; 1 ] states.(0);
+  Alcotest.(check (list int)) "node 1 woken by mail at 6" [ 6; 1 ] states.(1);
+  check int "rounds" 6 stats.rounds_used;
+  check int "node steps" 4 stats.node_steps;
+  check bool "halted" true stats.all_halted
+
+(* a sleep deadline at or before the current round means the next one *)
+let test_sim_past_sleep_is_run () =
+  let g = Gen.path 2 in
+  let program =
+    {
+      Sim.init = (fun ~node:_ ~neighbors:_ -> 0);
+      round =
+        (fun ~round ~node:_ ~state ~inbox:_ ->
+          if round < 3 then (state + 1, [], Sim.Sleep_until 1)
+          else (state + 1, [], Sim.Halt));
+    }
+  in
+  let states, stats = Sim.simulate ~bits:(fun _ -> 1) g program in
+  check int "stepped every round" 3 states.(0);
+  check int "node steps" 6 stats.node_steps
+
+(* crash and revive rounds are wake-ups: a halted node is visited when it
+   crashes (for the Node_crashed event) and stepped again on revival *)
+let test_sim_crash_revive_wakeups () =
+  let g = Gen.path 3 in
+  let program =
+    {
+      Sim.init = (fun ~node:_ ~neighbors:_ -> []);
+      round =
+        (fun ~round ~node ~state ~inbox:_ ->
+          let state = round :: state in
+          if node = 0 && round < 8 then (state, [], Sim.Run)
+          else (state, [], Sim.Halt));
+    }
+  in
+  let adv =
+    Congest.Fault.create
+      (Congest.Fault.spec ~crashes:[ (1, 3) ] ~revives:[ (1, 6) ] ())
+  in
+  let sink = Congest.Trace.sink () in
+  let states, _ =
+    Sim.simulate
+      ~config:Sim.Config.(default |> with_adversary adv |> with_trace sink)
+      ~bits:(fun _ -> 1) g program
+  in
+  Alcotest.(check (list int)) "node 1 stepped at 1 and on revival"
+    [ 6; 1 ] states.(1);
+  Alcotest.(check (list int)) "node 2 stepped once" [ 1 ] states.(2);
+  let crashes =
+    List.filter_map
+      (function
+        | Congest.Trace.Node_crashed { round; node } -> Some (round, node)
+        | _ -> None)
+      (Congest.Trace.events sink)
+  in
+  Alcotest.(check (list (pair int int))) "crash event" [ (3, 1) ] crashes
+
+(* Golden traces of the classic programs, recorded from the dense
+   simulator (every node stepped every round). *)
+let test_golden_program_traces () =
+  let g = Gen.grid 8 8 in
+  let md5 sink = Digest.to_hex (Digest.string (Congest.Trace.to_jsonl sink)) in
+  let sink () = Congest.Trace.sink ~capacity:50_000_000 () in
+  let s1 = sink () in
+  let _, st1 = Programs.leader_election ~trace:s1 g in
+  let s2 = sink () in
+  let (_, parent), st2 = Programs.bfs ~trace:s2 g ~source:0 in
+  let s3 = sink () in
+  let _, st3 = Programs.subtree_counts ~trace:s3 g ~parent in
+  List.iter
+    (fun (name, s, (st : Sim.stats), digest, messages) ->
+      check int (name ^ " rounds") 16 st.rounds_used;
+      check int (name ^ " messages") messages st.total_messages;
+      check Alcotest.string (name ^ " trace md5") digest (md5 s))
+    [
+      ("leader", s1, st1, "0bc1d63dc3544f1286b3efa0939ef599", 1792);
+      ("bfs", s2, st2, "c3c3dfef152ad4d0634a06da7fd5b8d6", 224);
+      ("subtree", s3, st3, "68b2e668de44218785f7fa6dc8f2d832", 126);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Classic programs                                                     *)
@@ -376,6 +476,14 @@ let () =
             test_sim_rejects_double_send;
           Alcotest.test_case "max rounds cutoff" `Quick
             test_sim_max_rounds_cutoff;
+          Alcotest.test_case "steps only due nodes" `Quick
+            test_sim_steps_only_due_nodes;
+          Alcotest.test_case "past sleep is run" `Quick
+            test_sim_past_sleep_is_run;
+          Alcotest.test_case "crash and revive wake-ups" `Quick
+            test_sim_crash_revive_wakeups;
+          Alcotest.test_case "golden program traces" `Quick
+            test_golden_program_traces;
         ] );
       ( "programs",
         [

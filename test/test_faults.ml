@@ -20,8 +20,7 @@ let chatter ~talk g =
   {
     Sim.init = (fun ~node:_ ~neighbors:_ -> { r = 0; log = [] });
     round =
-      (fun ~node ~state ~inbox ->
-        let r = state.r + 1 in
+      (fun ~round:r ~node ~state ~inbox ->
         let state = { r; log = (r, inbox) :: state.log } in
         if r <= talk then
           let out =
@@ -30,8 +29,8 @@ let chatter ~talk g =
                  (fun nb -> (nb, (node * 1000) + r))
                  (Graph.neighbors g node))
           in
-          (state, out, false)
-        else (state, [], true));
+          (state, out, Sim.Run)
+        else (state, [], Sim.Halt));
   }
 
 let chat_bits _ = 8
@@ -156,7 +155,7 @@ let test_sim_on_incomplete () =
   let never_halt =
     {
       Sim.init = (fun ~node:_ ~neighbors:_ -> ());
-      round = (fun ~node:_ ~state:_ ~inbox:_ -> ((), [], false));
+      round = (fun ~round:_ ~node:_ ~state:_ ~inbox:_ -> ((), [], Sim.Run));
     }
   in
   (match

@@ -165,29 +165,40 @@ let test_trace_byte_identical () =
     (String.equal (strong ~resourced:false) (strong ~resourced:true))
 
 let test_span_seconds_served_by_recorder () =
-  (* Span.rollups seconds columns light up only when a recorder is
-     attached; without one span_seconds is empty *)
+  (* per-span wall seconds live in the recorder's rollups, on the same
+     paths as the logical Span.rollups, which are identical with or
+     without a recorder attached *)
   let bare = Trace.sink () in
   ignore (Weakdiam.Distributed.carve ~trace:bare grid8 ~epsilon:0.5);
-  check int "no recorder, no seconds" 0 (List.length (Trace.span_seconds bare));
   let sink = Trace.sink () in
-  ignore (attach_fresh sink);
+  let res = attach_fresh sink in
   ignore (Weakdiam.Distributed.carve ~trace:sink grid8 ~epsilon:0.5);
-  check bool "recorder serves seconds" true
-    (List.length (Trace.span_seconds sink) > 0);
-  let rolls = Span.rollups sink in
-  check bool "Span rollups see wall time" true
-    (List.exists (fun (r : Span.rollup) -> r.Span.seconds_incl > 0.0) rolls)
+  check bool "logical rollups unaffected by the recorder" true
+    (Span.rollups bare = Span.rollups sink);
+  let rolls = Resource.rollups res in
+  List.iter
+    (fun (r : Span.rollup) ->
+      if r.Span.path <> Span.unspanned then
+        check bool
+          ("recorder saw wall time for " ^ r.Span.path)
+          true
+          ((find_rollup r.Span.path rolls).Resource.r_seconds_incl > 0.0))
+    (Span.rollups sink)
 
 let test_clear_detaches () =
   let sink = Trace.sink () in
-  ignore (attach_fresh sink);
+  let res = attach_fresh sink in
   Span.enter (Some sink) "a";
   Span.exit (Some sink);
-  check bool "seconds before clear" true
-    (List.length (Trace.span_seconds sink) > 0);
+  check int "recorder hooked before clear" 1
+    (find_rollup "a" (Resource.rollups res)).Resource.r_entries;
   Trace.clear sink;
-  check int "clear resets the hooks" 0 (List.length (Trace.span_seconds sink));
+  Span.enter (Some sink) "c";
+  Span.exit (Some sink);
+  check bool "clear resets the hooks" false
+    (List.exists
+       (fun (r : Resource.rollup) -> r.Resource.r_path = "c")
+       (Resource.rollups res));
   (* spans still work recorder-free after clear *)
   Span.enter (Some sink) "b";
   Span.exit (Some sink);

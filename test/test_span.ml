@@ -58,8 +58,7 @@ let test_with_span_exception_safe () =
    with Failure _ -> ());
   check int "span closed on exception" 0 (Trace.span_depth s);
   let r = find_rollup "risky" (Span.rollups s) in
-  check int "one activation" 1 r.Span.entries;
-  check bool "wall time recorded" true (r.Span.seconds_incl >= 0.0)
+  check int "one activation" 1 r.Span.entries
 
 let test_capacity_drop_keeps_stack_balanced () =
   (* span events past capacity are dropped from the stream, but the

@@ -263,6 +263,121 @@ let prop_distributed_matches_engine =
       Dist.matches_engine r)
 
 (* ------------------------------------------------------------------ *)
+(* Activity-driven simulation                                           *)
+(* ------------------------------------------------------------------ *)
+
+let trace_md5 sink = Digest.to_hex (Digest.string (Congest.Trace.to_jsonl sink))
+
+(* Golden traces: MD5s of the JSONL event streams recorded from the
+   dense simulator, which stepped every node in every round. Skipping
+   idle nodes must reproduce them byte for byte. *)
+let test_golden_carve_traces () =
+  List.iter
+    (fun (name, g, digest, rounds, messages) ->
+      let sink = Congest.Trace.sink ~capacity:50_000_000 () in
+      let r = Dist.carve ~trace:sink g ~epsilon:0.5 in
+      let st = r.Dist.sim_stats in
+      check int (name ^ " rounds") rounds st.Congest.Sim.rounds_used;
+      check int (name ^ " messages") messages st.Congest.Sim.total_messages;
+      check Alcotest.string (name ^ " trace md5") digest (trace_md5 sink))
+    [
+      ( "grid 9x9",
+        Gen.grid 9 9,
+        "f38ae6abc4b6dda76a61ab6adb035d36",
+        2240,
+        7169 );
+      ( "barbell 20 5",
+        Gen.barbell 20 5,
+        "f66e503934dccf40926c18b8dbb7ee8f",
+        560,
+        2441 );
+    ]
+
+(* the reliable transport steps every node while it runs; a frontier bug
+   in crash/revive handling would surface here first *)
+let test_golden_reliable_trace () =
+  let adversary =
+    Congest.Fault.create
+      (Congest.Fault.spec ~seed:7 ~drop:0.05 ~duplicate:0.05 ~delay:0.05
+         ~delay_window:3 ~crashes:[ (5, 40) ] ~revives:[ (5, 200) ] ())
+  in
+  let sink = Congest.Trace.sink ~capacity:50_000_000 () in
+  let r =
+    Dist.carve_reliable ~adversary ~trace:sink (Gen.grid 5 5) ~epsilon:0.5
+  in
+  let st = r.Dist.r_sim_stats in
+  check int "rounds" 2405 st.Congest.Sim.rounds_used;
+  check int "messages" 117710 st.Congest.Sim.total_messages;
+  check (Alcotest.list int) "crashed" [ 5 ] r.Dist.crashed;
+  check bool "revived node finished" true r.Dist.finished.(5);
+  check Alcotest.string "trace md5" "e199146c598c79ad8458acfce8214e4c"
+    (trace_md5 sink)
+
+(* Sleeping is only a hint: a wrapper that turns every [Sleep_until] into
+   [Run] steps the program densely, and must change nothing but the step
+   count. *)
+let never_sleep =
+  {
+    Congest.Conformance.instrument =
+      (fun p ->
+        {
+          p with
+          Congest.Sim.round =
+            (fun ~round ~node ~state ~inbox ->
+              let state, out, wake =
+                p.Congest.Sim.round ~round ~node ~state ~inbox
+              in
+              ( state,
+                out,
+                match wake with
+                | Congest.Sim.Sleep_until _ -> Congest.Sim.Run
+                | w -> w ));
+        });
+  }
+
+let test_sleep_is_a_hint () =
+  List.iter
+    (fun (name, g) ->
+      let run conformance =
+        let sink = Congest.Trace.sink ~capacity:50_000_000 () in
+        let r = Dist.carve ?conformance ~trace:sink g ~epsilon:0.5 in
+        (r, Congest.Trace.to_jsonl sink)
+      in
+      let sleepy, sleepy_trace = run None in
+      let dense, dense_trace = run (Some never_sleep) in
+      let labels r =
+        Array.init (Graph.n g) (fun v ->
+            Clustering.cluster_of r.Dist.carving.Carving.clustering v)
+      in
+      check bool (name ^ ": labels") true (labels sleepy = labels dense);
+      let s = sleepy.Dist.sim_stats and d = dense.Dist.sim_stats in
+      check bool (name ^ ": stats") true
+        ({ s with Congest.Sim.node_steps = 0 } = { d with node_steps = 0 });
+      check bool (name ^ ": trace") true
+        (String.equal sleepy_trace dense_trace);
+      check bool (name ^ ": sleeping saves steps") true
+        (s.Congest.Sim.node_steps < d.Congest.Sim.node_steps))
+    [
+      ("grid 6x6", Gen.grid 6 6);
+      ("path 20", Gen.path 20);
+      ("barbell 8 3", Gen.barbell 8 3);
+      ("er 30", Gen.erdos_renyi (Rng.create 3) 30 0.15);
+    ]
+
+(* the point of the frontier: on the benchmark grid almost every
+   node-round is idle *)
+let test_node_steps_sparse () =
+  let g = Gen.grid 24 24 in
+  let r = Dist.carve g ~epsilon:0.5 in
+  let st = r.Dist.sim_stats in
+  let dense = st.Congest.Sim.rounds_used * Graph.n g in
+  check bool
+    (Printf.sprintf "node_steps %d <= 10%% of rounds*n %d"
+       st.Congest.Sim.node_steps dense)
+    true
+    (10 * st.Congest.Sim.node_steps <= dense)
+
+(* ------------------------------------------------------------------ *)
 (* Property tests                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -380,6 +495,17 @@ let () =
             test_distributed_epsilon_sweep;
           Alcotest.test_case "rounds within schedule" `Quick
             test_distributed_rounds_within_schedule;
+        ] );
+      ( "activity",
+        [
+          Alcotest.test_case "golden carve traces" `Quick
+            test_golden_carve_traces;
+          Alcotest.test_case "golden reliable trace" `Quick
+            test_golden_reliable_trace;
+          Alcotest.test_case "sleeping is only a hint" `Quick
+            test_sleep_is_a_hint;
+          Alcotest.test_case "node steps on grid 24x24" `Quick
+            test_node_steps_sparse;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
