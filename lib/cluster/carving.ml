@@ -55,10 +55,11 @@ let check_strong ?epsilon ?diameter_bound t =
   let* () = check_common ?epsilon t in
   let bound = Option.value diameter_bound ~default:max_int in
   let k = Clustering.num_clusters t.clustering in
+  let scratch = Bfs.scratch (Graph.n (Clustering.graph t.clustering)) in
   let rec go c =
     if c >= k then Ok ()
     else
-      match Clustering.strong_diameter t.clustering c with
+      match Clustering.strong_diameter_upto ~scratch t.clustering c ~bound with
       | -1 -> Error (Printf.sprintf "carving: cluster %d internally disconnected" c)
       | d when d > bound ->
           Error

@@ -35,4 +35,9 @@ val check_strong :
   ?epsilon:float -> ?diameter_bound:int -> t -> (unit, string) result
 (** Validates the strong-carving contract: additionally every cluster's
     {e induced} subgraph is connected with diameter at most
-    [diameter_bound]. *)
+    [diameter_bound]. Each cluster costs one BFS inside it,
+    O(|C| + m_C) (see {!Clustering.strong_diameter_upto}): the tree of
+    height [h] settles connectivity, and any bound [>= 2h]. Only a
+    cluster with [h <= diameter_bound < 2h] pays for the exact
+    all-pairs diameter, so the verdict and the reported diameter are
+    exact. *)

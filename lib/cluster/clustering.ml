@@ -130,43 +130,61 @@ let double_sweep ?mask t c =
       | Some (far, d1) -> (
           match sweep far with None -> -1 | Some (_, d2) -> max d1 d2))
 
-(* Strong (member-confined) searches run on the induced member set via
-   Bfs.restricted_bfs: O(cluster volume) instead of O(n) per cluster, so
-   whole-decomposition sweeps stay linear even with 10^5 singleton
-   clusters. Visit order matches the masked BFS they replace, so results
-   are identical. *)
+(* Strong (member-confined) searches run Bfs.within on [cluster_of]:
+   O(cluster volume) instead of O(n) per cluster, allocation-free on a
+   scratch shared across clusters, so whole-decomposition sweeps stay
+   linear even with 10^5 singleton clusters. Visit order matches the
+   masked BFS, so results equal it. *)
 
-let member_set members =
-  let set = Hashtbl.create 64 in
-  List.iter (fun v -> Hashtbl.replace set v ()) members;
-  set
+let scratch_of t = function
+  | Some s -> s
+  | None -> Bfs.scratch (Graph.n t.graph)
 
-let restricted_sweep g set members source =
-  let bfs = Bfs.restricted_bfs g ~members:set ~source in
+(* BFS inside cluster [c] from [source]; true when it reaches all
+   [size] members *)
+let spans s t c ~size ~source =
+  Bfs.within s t.graph ~label:t.cluster_of ~c ~source = size
+
+(* farthest member from the latest search's source, smallest id on ties *)
+let farthest (s : Bfs.scratch) source members =
   List.fold_left
-    (fun acc v ->
-      match acc with
-      | None -> None
-      | Some (best_v, best_d) -> (
-          match Hashtbl.find_opt bfs v with
-          | None -> None
-          | Some (d, _) ->
-              if d > best_d then Some (v, d) else Some (best_v, best_d)))
-    (Some (source, 0))
-    members
+    (fun (bv, bd) v -> if s.dist.(v) > bd then (v, s.dist.(v)) else (bv, bd))
+    (source, 0) members
 
-let strong_diameter_estimate t c =
+let eccentric_pair ?scratch t c =
   match t.member_lists.(c) with
-  | [] | [ _ ] -> 0
-  | [ u; v ] -> if Graph.is_edge t.graph u v then 1 else -1
-  | first :: _ as members -> (
-      let set = member_set members in
-      match restricted_sweep t.graph set members first with
-      | None -> -1
-      | Some (far, d1) -> (
-          match restricted_sweep t.graph set members far with
-          | None -> -1
-          | Some (_, d2) -> max d1 d2))
+  | [] -> (-1, -1, -1)
+  | [ v ] -> (v, v, 0)
+  | first :: _ as members ->
+      let s = scratch_of t scratch and size = List.length members in
+      if not (spans s t c ~size ~source:first) then (-1, -1, -1)
+      else
+        let u, _ = farthest s first members in
+        (* connected, so the second sweep spans the cluster too *)
+        ignore (Bfs.within s t.graph ~label:t.cluster_of ~c ~source:u);
+        let v, d = farthest s u members in
+        (u, v, d)
+
+(* the second sweep starts at the first one's farthest member, so its
+   eccentricity is the larger of the two *)
+let strong_diameter_estimate ?scratch t c =
+  match t.member_lists.(c) with
+  | [] -> 0
+  | _ ->
+      let _, _, d = eccentric_pair ?scratch t c in
+      d
+
+(* a BFS tree of height [h] from the first member proves
+   [h <= diam <= 2h]; the last node it queues is the deepest *)
+let strong_diameter_upto ?scratch t c ~bound =
+  match t.member_lists.(c) with
+  | [] | [ _ ] -> strong_diameter t c
+  | root :: _ as members ->
+      let s = scratch_of t scratch and size = List.length members in
+      if not (spans s t c ~size ~source:root) then -1
+      else
+        let h = s.dist.(s.queue.(size - 1)) in
+        if 2 * h <= bound then 2 * h else strong_diameter t c
 
 let weak_diameter_estimate t c = double_sweep t c
 
@@ -180,7 +198,10 @@ let estimate_max f t =
   done;
   if !disconnected then -1 else !worst
 
-let max_strong_diameter_estimate t = estimate_max strong_diameter_estimate t
+let max_strong_diameter_estimate t =
+  let scratch = Bfs.scratch (Graph.n t.graph) in
+  estimate_max (strong_diameter_estimate ~scratch) t
+
 let max_weak_diameter_estimate t = estimate_max weak_diameter_estimate t
 
 (* BFS witness tree from the first member; [prune] keeps only the union
@@ -218,22 +239,18 @@ let witness_tree_gen ?mask ~prune t c =
         in
         Some (root, pairs, height)
 
-let witness_tree t c =
+let witness_tree ?scratch t c =
   match t.member_lists.(c) with
   | [] -> None
   | [ v ] -> Some (v, [], 0)
   | root :: _ as members ->
-      let set = member_set members in
-      let bfs = Bfs.restricted_bfs t.graph ~members:set ~source:root in
-      if List.exists (fun v -> not (Hashtbl.mem bfs v)) members then None
+      let s = scratch_of t scratch in
+      if not (spans s t c ~size:(List.length members) ~source:root) then None
       else
-        let height =
-          List.fold_left (fun h v -> max h (fst (Hashtbl.find bfs v))) 0 members
-        in
+        let height = List.fold_left (fun h v -> max h s.dist.(v)) 0 members in
         let pairs =
           List.filter_map
-            (fun v ->
-              if v = root then None else Some (v, snd (Hashtbl.find bfs v)))
+            (fun v -> if v = root then None else Some (v, s.parent.(v)))
             members
         in
         Some (root, pairs, height)
@@ -257,30 +274,6 @@ let eccentric_pair_gen ?mask t c =
                (source, 0) members)
       in
       (match sweep first with
-      | None -> (-1, -1, -1)
-      | Some (u, _) -> (
-          match sweep u with
-          | None -> (-1, -1, -1)
-          | Some (v, d) -> (u, v, d)))
-
-let eccentric_pair t c =
-  match t.member_lists.(c) with
-  | [] -> (-1, -1, -1)
-  | [ v ] -> (v, v, 0)
-  | first :: _ as members -> (
-      let set = member_set members in
-      let sweep source =
-        let bfs = Bfs.restricted_bfs t.graph ~members:set ~source in
-        if List.exists (fun v -> not (Hashtbl.mem bfs v)) members then None
-        else
-          Some
-            (List.fold_left
-               (fun (bv, bd) v ->
-                 let d = fst (Hashtbl.find bfs v) in
-                 if d > bd then (v, d) else (bv, bd))
-               (source, 0) members)
-      in
-      match sweep first with
       | None -> (-1, -1, -1)
       | Some (u, _) -> (
           match sweep u with

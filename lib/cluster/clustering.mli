@@ -42,11 +42,27 @@ val adjacent_cluster_pairs : t -> (int * int) list
 (** Distinct-cluster pairs joined by at least one edge (each pair once). *)
 
 val strong_diameter : t -> int -> int
-(** Diameter of the subgraph induced by a cluster; [-1] if disconnected. *)
+(** Exact diameter of the subgraph induced by a cluster; [-1] if
+    disconnected. All-pairs BFS inside the cluster: O(k·(k+m)) for [k]
+    members of volume [m] — for reporting, and for the rare check that
+    {!strong_diameter_upto} cannot settle from one BFS tree. *)
 
 val max_strong_diameter : t -> int
-(** Max over clusters; [-1] if any cluster is internally disconnected;
-    [0] when there are no clusters. *)
+(** Max over clusters of the exact {!strong_diameter} (reporting only);
+    [-1] if any cluster is internally disconnected; [0] when there are
+    no clusters. *)
+
+val strong_diameter_upto :
+  ?scratch:Dsgraph.Bfs.scratch -> t -> int -> bound:int -> int
+(** The certificate check behind {!Carving.check_strong} and
+    {!Decomposition.check}: [-1] when the cluster's induced subgraph is
+    disconnected, otherwise a value that is [<= bound] exactly when the
+    strong diameter is, and equals the strong diameter when it exceeds
+    [bound]. One BFS from the first member gives a tree of height [h]
+    with [h <= diam <= 2h]; when [2h <= bound] the answer is [2h], in
+    O(|C| + m_C). Only when [2h > bound] does it fall back to the exact
+    {!strong_diameter}. [scratch] (default: a fresh one) must be sized
+    for the clustering's graph; pass one across clusters. *)
 
 val weak_diameter : ?within:Dsgraph.Mask.t -> t -> int -> int
 (** Max pairwise distance of a cluster's members measured in the (masked)
@@ -54,7 +70,7 @@ val weak_diameter : ?within:Dsgraph.Mask.t -> t -> int -> int
 
 val max_weak_diameter : ?within:Dsgraph.Mask.t -> t -> int
 
-val strong_diameter_estimate : t -> int -> int
+val strong_diameter_estimate : ?scratch:Dsgraph.Bfs.scratch -> t -> int -> int
 (** Double-sweep estimate of {!strong_diameter}: BFS inside the cluster
     from an arbitrary member, then from the farthest node found. Exact on
     trees, a lower bound within a factor 2 in general, O(cluster) instead
@@ -69,7 +85,8 @@ val weak_diameter_estimate : t -> int -> int
 
 val max_weak_diameter_estimate : t -> int
 
-val witness_tree : t -> int -> (int * (int * int) list * int) option
+val witness_tree :
+  ?scratch:Dsgraph.Bfs.scratch -> t -> int -> (int * (int * int) list * int) option
 (** [(root, parents, height)] of a BFS tree {e inside} the cluster's
     induced subgraph: [parents] is one [(node, parent)] pair per
     non-root member (sorted by node), every pair a real graph edge with
@@ -77,7 +94,9 @@ val witness_tree : t -> int -> (int * (int * int) list * int) option
     over the members. Such a tree certifies that the induced subgraph
     is connected with strong diameter at most [2 * height]. [None] when
     the induced subgraph is disconnected (then only a weak witness
-    exists — see {!weak_witness_tree}). *)
+    exists — see {!weak_witness_tree}). One {!Dsgraph.Bfs.within}
+    search on [scratch] (default: a fresh one); parents are those of
+    {!Dsgraph.Bfs.parents} under the cluster's mask. *)
 
 val weak_witness_tree : ?within:Dsgraph.Mask.t -> t -> int -> (int * (int * int) list * int) option
 (** As {!witness_tree} but the BFS runs in the (masked) host graph, so
@@ -86,7 +105,7 @@ val weak_witness_tree : ?within:Dsgraph.Mask.t -> t -> int -> (int * (int * int)
     diameter at most [2 * height]. [None] when some member is
     unreachable even in the host graph. *)
 
-val eccentric_pair : t -> int -> int * int * int
+val eccentric_pair : ?scratch:Dsgraph.Bfs.scratch -> t -> int -> int * int * int
 (** [(u, v, d)] — a double-sweep witness pair inside the cluster's
     induced subgraph: members at distance exactly [d], so [d] is a
     certified lower bound on the strong diameter (within a factor 2 of

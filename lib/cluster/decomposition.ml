@@ -65,9 +65,18 @@ let check ?colors_bound ?strong_diameter_bound ?weak_diameter_bound ?domain t =
     match strong_diameter_bound with
     | None -> Ok ()
     | Some b -> (
-        match Clustering.max_strong_diameter t.clustering with
-        | -1 -> Error "decomposition: a cluster is internally disconnected"
-        | d when d > b ->
+        (* values above [b] are exact, so their max is the max strong
+           diameter whenever the bound fails *)
+        let scratch = Bfs.scratch (Graph.n g) in
+        let worst = ref 0 and disconnected = ref false in
+        for c = 0 to Clustering.num_clusters t.clustering - 1 do
+          match Clustering.strong_diameter_upto ~scratch t.clustering c ~bound:b with
+          | -1 -> disconnected := true
+          | d -> if d > !worst then worst := d
+        done;
+        match (!disconnected, !worst) with
+        | true, _ -> Error "decomposition: a cluster is internally disconnected"
+        | false, d when d > b ->
             Error (Printf.sprintf "decomposition: strong diameter %d > bound %d" d b)
         | _ -> Ok ())
   in

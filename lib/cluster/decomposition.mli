@@ -30,7 +30,13 @@ val check :
   (unit, string) result
 (** Validates the decomposition contract: every domain node (default: all
     nodes) belongs to a cluster; any two {e adjacent} clusters have
-    different colors; and the optional color/diameter bounds hold. *)
+    different colors; and the optional color/diameter bounds hold.
+    [strong_diameter_bound] costs one BFS per cluster, O(|C| + m_C),
+    with the exact all-pairs diameter only for clusters whose BFS tree
+    of height [h] has [2h > bound] (see
+    {!Clustering.strong_diameter_upto}); a failure reports the exact
+    maximum strong diameter. [weak_diameter_bound] is still checked
+    exactly. *)
 
 val quality : t -> int * int * int
 (** [(colors, max strong diameter, max weak diameter)] — the measured

@@ -71,24 +71,6 @@ let eccentricity ?mask g v =
   let dist = distances ?mask g ~source:v in
   Array.fold_left max 0 dist
 
-let diameter_of_set g set =
-  match set with
-  | [] | [ _ ] -> 0
-  | _ ->
-      let mask = Mask.of_list (Graph.n g) set in
-      let diam = ref 0 in
-      let disconnected = ref false in
-      List.iter
-        (fun s ->
-          let dist = distances ~mask g ~source:s in
-          List.iter
-            (fun v ->
-              if dist.(v) = -1 then disconnected := true
-              else if dist.(v) > !diam then diam := dist.(v))
-            set)
-        set;
-      if !disconnected then -1 else !diam
-
 let weak_diameter_of_set ?mask g set =
   match set with
   | [] | [ _ ] -> 0
@@ -108,7 +90,7 @@ let weak_diameter_of_set ?mask g set =
 
 (* Scale variants: the allocation-per-call BFS above is fine for one-off
    queries, but per-cluster loops at n = 10^6 need reusable buffers and
-   member-restricted traversals whose cost is the cluster's volume, not
+   label-confined traversals whose cost is the cluster's volume, not
    the whole graph. *)
 
 let distances_into ?mask g ~source ~dist ~queue =
@@ -136,23 +118,79 @@ let distances_into ?mask g ~source ~dist ~queue =
   end
 [@@hot]
 
-let restricted_bfs g ~members ~source =
-  let out = Hashtbl.create (max 16 (Hashtbl.length members)) in
-  if Hashtbl.mem members source then begin
-    Hashtbl.add out source (0, source);
-    let q = Queue.create () in
-    Queue.add source q;
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      let du, _ = Hashtbl.find out u in
-      Graph.iter_neighbors g u (fun v ->
-          if Hashtbl.mem members v && not (Hashtbl.mem out v) then begin
-            Hashtbl.add out v (du + 1, u);
-            Queue.add v q
-          end)
-    done
-  end;
-  out
+type scratch = {
+  mutable gen : int;
+  stamp : int array;
+  dist : int array;
+  parent : int array;
+  queue : int array;
+}
+
+let scratch n =
+  {
+    gen = 0;
+    stamp = Array.make n (-1);
+    dist = Array.make n 0;
+    parent = Array.make n 0;
+    queue = Array.make n 0;
+  }
+
+let reached s v = s.stamp.(v) = s.gen
+
+let within s g ~label ~c ~source =
+  s.gen <- s.gen + 1;
+  if label.(source) <> c then 0
+  else begin
+    let gen = s.gen in
+    let stamp = s.stamp and dist = s.dist and parent = s.parent
+    and queue = s.queue in
+    stamp.(source) <- gen;
+    dist.(source) <- 0;
+    parent.(source) <- source;
+    queue.(0) <- source;
+    let head = (ref 0 [@alloc_ok "two cursor cells per call, not per node"])
+    and tail = (ref 1 [@alloc_ok "two cursor cells per call, not per node"]) in
+    let offsets = Graph.offsets g and targets = Graph.targets g in
+    while !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      let du = dist.(u) + 1 in
+      for i = offsets.{u} to offsets.{u + 1} - 1 do
+        let v = targets.{i} in
+        if stamp.(v) <> gen && label.(v) = c then begin
+          stamp.(v) <- gen;
+          dist.(v) <- du;
+          parent.(v) <- u;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      done
+    done;
+    !tail
+  end
+[@@hot]
+
+let diameter_of_set g set =
+  match set with
+  | [] | [ _ ] -> 0
+  | _ ->
+      (* one dist/queue pair for all k sources: each BFS resets exactly
+         the cells it touched, and its last queued node is the farthest *)
+      let n = Graph.n g in
+      let mask = Mask.of_list n set in
+      let size = Mask.count mask in
+      let dist = Array.make n (-1) and queue = Array.make n 0 in
+      let rec go diam = function
+        | [] -> diam
+        | s :: rest ->
+            let k = distances_into ~mask g ~source:s ~dist ~queue in
+            let ecc = dist.(queue.(k - 1)) in
+            for i = 0 to k - 1 do
+              dist.(queue.(i)) <- -1
+            done;
+            if k < size then -1 else go (max diam ecc) rest
+      in
+      go 0 set
 
 let component_of ?mask g v =
   if not (alive mask v) then []

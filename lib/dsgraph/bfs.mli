@@ -28,7 +28,9 @@ val eccentricity : ?mask:Mask.t -> Graph.t -> int -> int
 val diameter_of_set : Graph.t -> int list -> int
 (** Strong diameter of the sub{i graph induced by} the set: max pairwise
     distance measured inside the set. Returns [-1] if the induced subgraph
-    is disconnected, [0] for singletons and the empty set. O(k·(k+m)). *)
+    is disconnected, [0] for singletons and the empty set. O(k·(k+m))
+    time — one BFS per member, stopping at the first that misses a
+    member — on one mask and one {!distances_into} buffer pair. *)
 
 val weak_diameter_of_set : ?mask:Mask.t -> Graph.t -> int list -> int
 (** Max pairwise distance between set members measured in [G\[mask\]]
@@ -48,11 +50,37 @@ val distances_into :
     ([0] when the source is outside the mask). Distances along [queue]
     are non-decreasing; results equal {!distances} on the same mask. *)
 
-val restricted_bfs :
-  Graph.t -> members:(int, unit) Hashtbl.t -> source:int ->
-  (int, int * int) Hashtbl.t
-(** BFS over the subgraph induced by [members], in [O(volume of members)]
-    time and space — independent of [Graph.n]. Maps each reached member
-    to [(distance, bfs parent)]; the source maps to [(0, source)];
-    unreached members are absent. Visit order (and hence parents) match
-    {!distances}/{!parents} under the equivalent {!Mask}. *)
+type scratch = private {
+  mutable gen : int;  (** generation of the latest {!within} call *)
+  stamp : int array;  (** [stamp.(v) = gen] iff [v] was reached *)
+  dist : int array;  (** hop count from the source, for reached nodes *)
+  parent : int array;
+      (** BFS-tree parent, for reached nodes; the source is its own *)
+  queue : int array;
+      (** reached nodes in visit order, cells [0 .. k-1] *)
+}
+(** Caller-owned, reusable buffers for {!within}, sized for one graph.
+    Only the cells of nodes reached by the {e latest} call are
+    meaningful: a call bumps [gen] instead of clearing anything, so a
+    search costs its own volume however often the scratch is reused.
+    One scratch serves one traversal at a time. *)
+
+val scratch : int -> scratch
+(** [scratch n]: buffers for graphs with at most [n] nodes. *)
+
+val reached : scratch -> int -> bool
+(** Whether the latest {!within} call visited the node. *)
+
+val within :
+  scratch -> Graph.t -> label:int array -> c:int -> source:int -> int
+(** [within s g ~label ~c ~source]: BFS from [source] over the subgraph
+    induced by the nodes [v] with [label.(v) = c] (a cluster, given the
+    per-node cluster ids), in O(|C| + m_C) time for the reached part [C]
+    and no allocation. Returns the visit count [k] ([0] when [source]
+    is not labelled [c]); [s.queue.(0 .. k-1)] lists the reached nodes
+    with non-decreasing [s.dist], and [s.dist]/[s.parent] hold their
+    hop counts and BFS parents ([parent.(source) = source]). Neighbours
+    are visited in CSR order, as in {!distances}/{!parents}, so
+    distances, parents and visit order equal theirs under the mask of
+    the same node set. [label] and the scratch must cover [Graph.n g]
+    nodes. *)

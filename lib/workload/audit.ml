@@ -29,14 +29,14 @@ type t = {
   dead_fraction : float;
 }
 
-let cert_of_cluster clustering ~color c =
+let cert_of_cluster ?scratch clustering ~color c =
   let members = Cluster.Clustering.members clustering c in
   let of_tree (root, pairs, height) =
     { w_root = root; w_parents = pairs; w_height = height }
   in
-  match Cluster.Clustering.witness_tree clustering c with
+  match Cluster.Clustering.witness_tree ?scratch clustering c with
   | Some w ->
-      let u, v, d = Cluster.Clustering.eccentric_pair clustering c in
+      let u, v, d = Cluster.Clustering.eccentric_pair ?scratch clustering c in
       let w = of_tree w in
       {
         cluster = c;
@@ -66,8 +66,9 @@ let cert_of_cluster clustering ~color c =
       }
 
 let certs_of_clustering clustering ~color_of =
+  let scratch = Bfs.scratch (Graph.n (Cluster.Clustering.graph clustering)) in
   List.init (Cluster.Clustering.num_clusters clustering) (fun c ->
-      cert_of_cluster clustering ~color:(color_of c) c)
+      cert_of_cluster ~scratch clustering ~color:(color_of c) c)
 
 let certify_decomposition d =
   let clustering = Cluster.Decomposition.clustering d in
@@ -109,38 +110,56 @@ exception Reject of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Reject s)) fmt
 
+(* Per-verify buffers for the witness trees, generation-stamped by the
+   certificate's slot (its position in [certs]) so no cell is ever
+   reset: [parent.(v)]/[depth.(v)] are meaningful only while
+   [has_parent.(v)]/[has_depth.(v)] equal the current slot. *)
+type trees = {
+  parent : int array;
+  has_parent : int array;
+  depth : int array;
+  has_depth : int array;
+}
+
+let trees n =
+  {
+    parent = Array.make n 0;
+    has_parent = Array.make n (-1);
+    depth = Array.make n 0;
+    has_depth = Array.make n (-1);
+  }
+
 (* depth of every tree node from the parent pointers alone, rejecting
-   duplicate nodes, dangling parents, and cycles *)
-let tree_depths ~cluster w =
-  let parent = Hashtbl.create 64 in
+   duplicate nodes, dangling parents, and cycles; every id is in range
+   (checked by the caller). Returns the number of tree nodes. *)
+let tree_depths tr ~slot ~cluster w =
   List.iter
     (fun (v, p) ->
       if v = w.w_root then
         fail "cluster %d: witness root %d also has a parent" cluster v;
-      if Hashtbl.mem parent v then
+      if tr.has_parent.(v) = slot then
         fail "cluster %d: node %d appears twice in the witness tree" cluster v;
-      Hashtbl.add parent v p)
+      tr.has_parent.(v) <- slot;
+      tr.parent.(v) <- p)
     w.w_parents;
-  let depth = Hashtbl.create 64 in
-  Hashtbl.add depth w.w_root 0;
-  let bound = List.length w.w_parents + 1 in
+  tr.has_depth.(w.w_root) <- slot;
+  tr.depth.(w.w_root) <- 0;
+  let size = List.length w.w_parents + 1 in
   let rec depth_of steps v =
-    if steps > bound then
+    if steps > size then
       fail "cluster %d: witness tree has a parent cycle at node %d" cluster v;
-    match Hashtbl.find_opt depth v with
-    | Some d -> d
-    | None ->
-        (match Hashtbl.find_opt parent v with
-        | None ->
-            fail "cluster %d: node %d hangs off the witness tree (parent %s)"
-              cluster v "missing"
-        | Some p ->
-            let d = 1 + depth_of (steps + 1) p in
-            Hashtbl.add depth v d);
-        Hashtbl.find depth v
+    if tr.has_depth.(v) <> slot then begin
+      if tr.has_parent.(v) <> slot then
+        fail "cluster %d: node %d hangs off the witness tree (parent %s)"
+          cluster v "missing";
+      let d = 1 + depth_of (steps + 1) tr.parent.(v) in
+      tr.has_depth.(v) <- slot;
+      tr.depth.(v) <- d
+    end;
+    tr.depth.(v)
   in
   List.iter (fun (v, _) -> ignore (depth_of 0 v)) w.w_parents;
-  depth
+  size
 
 let verify g t =
   let n = Graph.n g in
@@ -158,12 +177,15 @@ let verify g t =
           check_domain rest
     in
     check_domain t.domain;
-    (* membership: disjoint clusters confined to the domain *)
+    (* membership: disjoint clusters confined to the domain; [owner.(v)]
+       is the slot of the certificate listing [v], and [ids] maps slots
+       back to cluster ids for messages *)
     let owner = Array.make n (-1) in
+    let ids = Array.of_list (List.map (fun cert -> cert.cluster) t.certs) in
     let node_color = Array.make n (-1) in
     let clustered = ref 0 in
-    List.iter
-      (fun cert ->
+    List.iteri
+      (fun slot cert ->
         if cert.members = [] then fail "cluster %d is empty" cert.cluster;
         (match t.kind with
         | Decomposition ->
@@ -181,9 +203,9 @@ let verify g t =
             if not in_domain.(v) then
               fail "cluster %d: member %d outside the domain" cert.cluster v;
             if owner.(v) >= 0 then
-              fail "node %d claimed by clusters %d and %d" v owner.(v)
+              fail "node %d claimed by clusters %d and %d" v ids.(owner.(v))
                 cert.cluster;
-            owner.(v) <- cert.cluster;
+            owner.(v) <- slot;
             node_color.(v) <- cert.color;
             incr clustered)
           cert.members)
@@ -212,19 +234,20 @@ let verify g t =
           && node_color.(u) = node_color.(v)
         then
           fail "edge (%d,%d) joins clusters %d and %d of the same color %d" u
-            v owner.(u) owner.(v) node_color.(u));
-    (* witness trees and eccentric pairs, cluster by cluster *)
-    List.iter
-      (fun cert ->
-        let member = Hashtbl.create 64 in
-        List.iter (fun v -> Hashtbl.replace member v ()) cert.members;
+            v ids.(owner.(u)) ids.(owner.(v)) node_color.(u));
+    (* witness trees and eccentric pairs, cluster by cluster; members
+       are read off [owner], never off the clustering *)
+    let member slot v = v >= 0 && v < n && owner.(v) = slot in
+    let tr = trees n and scratch = Bfs.scratch n in
+    List.iteri
+      (fun slot cert ->
         (match cert.tree with
         | None ->
             if cert.diameter_ub <> None then
               fail "cluster %d: diameter upper bound without a witness tree"
                 cert.cluster
         | Some w ->
-            if not (Hashtbl.mem member w.w_root) then
+            if not (member slot w.w_root) then
               fail "cluster %d: witness root %d is not a member" cert.cluster
                 w.w_root;
             List.iter
@@ -235,28 +258,24 @@ let verify g t =
                 if not (Graph.is_edge g v p) then
                   fail "cluster %d: witness pair (%d,%d) is not a graph edge"
                     cert.cluster v p;
-                if cert.strong && not (Hashtbl.mem member v && Hashtbl.mem member p)
-                then
+                if cert.strong && not (member slot v && member slot p) then
                   fail
                     "cluster %d: strong witness pair (%d,%d) leaves the \
                      cluster"
                     cert.cluster v p)
               w.w_parents;
-            let depth = tree_depths ~cluster:cert.cluster w in
+            let size = tree_depths tr ~slot ~cluster:cert.cluster w in
             List.iter
               (fun v ->
-                if not (Hashtbl.mem depth v) then
+                if tr.has_depth.(v) <> slot then
                   fail "cluster %d: member %d missing from the witness tree"
                     cert.cluster v)
               cert.members;
-            if cert.strong && Hashtbl.length depth <> List.length cert.members
-            then
+            if cert.strong && size <> List.length cert.members then
               fail "cluster %d: strong witness tree has non-member nodes"
                 cert.cluster;
             let height =
-              List.fold_left
-                (fun h v -> max h (Hashtbl.find depth v))
-                0 cert.members
+              List.fold_left (fun h v -> max h tr.depth.(v)) 0 cert.members
             in
             if height <> w.w_height then
               fail "cluster %d: witness height claims %d, recomputed %d"
@@ -266,17 +285,17 @@ let verify g t =
                 cert.cluster);
         (if cert.diameter_lb >= 0 then begin
            let u, v = cert.lb_pair in
-           if not (Hashtbl.mem member u && Hashtbl.mem member v) then
+           if not (member slot u && member slot v) then
              fail "cluster %d: eccentric pair (%d,%d) not members"
                cert.cluster u v;
            let duv =
-             if cert.strong then
-               (* member-restricted BFS: O(cluster volume), so the full
-                  recheck stays linear across 10^5+ clusters *)
-               let bfs = Bfs.restricted_bfs g ~members:member ~source:u in
-               match Hashtbl.find_opt bfs v with
-               | Some (d, _) -> d
-               | None -> -1
+             if cert.strong then begin
+               (* BFS confined to this certificate's members: O(cluster
+                  volume), so the full recheck stays linear across 10^5+
+                  clusters *)
+               ignore (Bfs.within scratch g ~label:owner ~c:slot ~source:u);
+               if Bfs.reached scratch v then scratch.dist.(v) else -1
+             end
              else (Bfs.distances g ~source:u).(v)
            in
            if duv <> cert.diameter_lb then

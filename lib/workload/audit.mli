@@ -63,11 +63,13 @@ val certify_decomposition : Cluster.Decomposition.t -> t
 
 val certify_carving : Cluster.Carving.t -> t
 
-val cert_of_cluster : Cluster.Clustering.t -> color:int -> int -> cert
+val cert_of_cluster :
+  ?scratch:Dsgraph.Bfs.scratch -> Cluster.Clustering.t -> color:int -> int -> cert
 (** Certificate of one cluster: strong witnesses when its induced
     subgraph is connected, host-graph (weak) witnesses otherwise.
     Exposed so the repair engine can re-certify {e only} the clusters
-    it touched and carry every other certificate over verbatim. *)
+    it touched and carry every other certificate over verbatim; pass
+    one [scratch] (sized for the graph) across such calls. *)
 
 val verify : Dsgraph.Graph.t -> t -> (unit, string) result
 (** Re-checks every claim against [g] alone: members partition the
@@ -80,7 +82,10 @@ val verify : Dsgraph.Graph.t -> t -> (unit, string) result
     height recomputed from the parent pointers and
     [diameter_ub = 2 * height]; every eccentric pair's distance is
     re-derived by reference BFS and must equal [diameter_lb], and
-    [diameter_lb <= diameter_ub] where both exist. *)
+    [diameter_lb <= diameter_ub] where both exist. Membership comes
+    from the certificate lists alone, and a strong pair's distance is
+    a {!Dsgraph.Bfs.within} search over them, so a strong certificate
+    is re-checked in O(|C| + m_C) plus one O(n) set-up per call. *)
 
 val check_survivors :
   Dsgraph.Graph.t ->

@@ -100,11 +100,12 @@ let repair ?(halo = 0) ~recarve session d =
   let old_certs =
     if k_old = 0 then [||] else certs_by_id session.audit k_old
   in
+  let scratch = Bfs.scratch (Graph.n (Cluster.Clustering.graph clustering)) in
   let certs =
     List.init k_new (fun c ->
         let o = from_old.(c) in
         if o >= 0 then { (old_certs.(o)) with Audit.cluster = c }
-        else Audit.cert_of_cluster clustering ~color:colors.(c) c)
+        else Audit.cert_of_cluster ~scratch clustering ~color:colors.(c) c)
   in
   let g = CR.graph st in
   let n = Graph.n g in

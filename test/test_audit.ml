@@ -3,8 +3,9 @@
 
    The certificates of honest runs must verify; the load-bearing tests
    seed corruptions — a wrong diameter witness, overlapping colors,
-   miscounted dead nodes, and structural tampering — and assert that
-   [Audit.verify] rejects every one. The verifier only consults the
+   miscounted dead nodes, structural tampering, out-of-range and
+   foreign node ids — and assert that [Audit.verify] rejects every
+   one. The verifier only consults the
    graph, so these rejections hold no matter which algorithm produced
    the certificate. *)
 
@@ -181,6 +182,128 @@ let test_rejects_structural_tampering () =
   in
   expect_reject "forged tree edge" g bad
 
+(* corruption 5: an eccentric pair naming a node id outside the graph
+   must be a precise rejection, not an index error escaping verify *)
+let test_rejects_out_of_range_lb_pair () =
+  let t, g = Lazy.force decomp_fixture in
+  let big =
+    List.find
+      (fun (c : Audit.cert) -> c.Audit.strong && List.length c.Audit.members > 1)
+      t.Audit.certs
+  in
+  let u, _ = big.Audit.lb_pair in
+  List.iter
+    (fun bad_v ->
+      let bad =
+        tamper t big.Audit.cluster (fun c -> { c with Audit.lb_pair = (u, bad_v) })
+      in
+      check
+        Alcotest.(result unit string)
+        "out-of-range pair named"
+        (Error
+           (Printf.sprintf "cluster %d: eccentric pair (%d,%d) not members"
+              big.Audit.cluster u bad_v))
+        (Audit.verify g bad))
+    [ t.Audit.n; -1 ]
+
+(* corruption 6: a strong witness-tree pair re-hung onto a neighbour in
+   another cluster — a real graph edge, but it leaves the cluster *)
+let test_rejects_pair_into_other_cluster () =
+  let t, g = Lazy.force decomp_fixture in
+  let owner = Array.make t.Audit.n (-1) in
+  List.iter
+    (fun (c : Audit.cert) ->
+      List.iter (fun v -> owner.(v) <- c.Audit.cluster) c.Audit.members)
+    t.Audit.certs;
+  let found = ref None in
+  List.iter
+    (fun (c : Audit.cert) ->
+      match c.Audit.tree with
+      | Some w when c.Audit.strong ->
+          List.iter
+            (fun (v, _) ->
+              Graph.iter_neighbors g v (fun x ->
+                  if !found = None && owner.(x) >= 0
+                     && owner.(x) <> c.Audit.cluster
+                  then found := Some (c.Audit.cluster, v, x)))
+            w.Audit.w_parents
+      | _ -> ())
+    t.Audit.certs;
+  match !found with
+  | None -> Alcotest.fail "fixture has no tree node next to another cluster"
+  | Some (cl, v, x) ->
+      let bad =
+        tamper t cl (fun c ->
+            match c.Audit.tree with
+            | Some w ->
+                let w_parents =
+                  List.map
+                    (fun (a, p) -> if a = v then (a, x) else (a, p))
+                    w.Audit.w_parents
+                in
+                { c with Audit.tree = Some { w with Audit.w_parents } }
+            | None -> c)
+      in
+      check
+        Alcotest.(result unit string)
+        "foreign endpoint named"
+        (Error
+           (Printf.sprintf
+              "cluster %d: strong witness pair (%d,%d) leaves the cluster" cl v
+              x))
+        (Audit.verify g bad)
+
+(* Certificates are pinned byte for byte: MD5s of the marshalled
+   certificate lists, recorded before the strong searches moved to
+   Bfs.within. Carried certificates are compared structurally during
+   repair, so any drift in BFS parents would show up there too. *)
+let md5_certs (t : Audit.t) =
+  Digest.to_hex (Digest.string (Marshal.to_string t.Audit.certs []))
+
+let test_certificates_pinned () =
+  let carve g = fst (Strongdecomp.Strong_carving.carve_improved g ~epsilon:0.5) in
+  check Alcotest.string "carve_improved barbell 40 10"
+    "59bad703d849b9b169474aac1ab57710"
+    (md5_certs (Audit.certify_carving (carve (Gen.barbell 40 10))));
+  check Alcotest.string "greedy grid 12x12" "22cbe7246a2d5f0ae56772bbeba73aa5"
+    (md5_certs
+       (Audit.certify_decomposition (Baseline.Greedy.decompose (Gen.grid 12 12))));
+  check Alcotest.string "carve_improved grid 12x12"
+    "df1172bb7efc7a84eaf0646a07c5c25e"
+    (md5_certs (Audit.certify_carving (carve (Gen.grid 12 12))))
+
+(* the strong witness tree is the masked BFS tree of the cluster *)
+let test_witness_tree_is_masked_bfs () =
+  let greedy g = Cluster.Decomposition.clustering (Baseline.Greedy.decompose g) in
+  let clusterings =
+    [
+      greedy (Gen.grid 12 12);
+      greedy (Gen.erdos_renyi (Rng.create 5) 120 0.04);
+      (fst (Strongdecomp.Strong_carving.carve_improved (Gen.barbell 20 6)
+              ~epsilon:0.5)).Cluster.Carving.clustering;
+    ]
+  in
+  List.iter
+    (fun cl ->
+      let g = Cluster.Clustering.graph cl and n = Cluster.Clustering.num_clusters cl in
+      for c = 0 to n - 1 do
+        let members = Cluster.Clustering.members cl c in
+        match Cluster.Clustering.witness_tree cl c with
+        | None -> Alcotest.fail "greedy/strong cluster without a strong tree"
+        | Some (root, pairs, _) ->
+            let parent =
+              Bfs.parents ~mask:(Mask.of_list (Graph.n g) members) g ~source:root
+            in
+            check
+              Alcotest.(list (pair int int))
+              "parents equal the masked BFS"
+              (List.filter_map
+                 (fun v -> if v = root then None else Some (v, parent.(v)))
+                 members)
+              pairs
+      done)
+    clusterings
+
 let test_verify_is_independent () =
   (* a certificate for the wrong graph must be rejected outright *)
   let t, _ = Lazy.force decomp_fixture in
@@ -208,5 +331,13 @@ let () =
             test_rejects_structural_tampering;
           Alcotest.test_case "verification is graph-anchored" `Quick
             test_verify_is_independent;
+          Alcotest.test_case "rejects out-of-range eccentric pair" `Quick
+            test_rejects_out_of_range_lb_pair;
+          Alcotest.test_case "rejects witness pair into another cluster" `Quick
+            test_rejects_pair_into_other_cluster;
+          Alcotest.test_case "certificates pinned" `Quick
+            test_certificates_pinned;
+          Alcotest.test_case "witness tree is the masked BFS tree" `Quick
+            test_witness_tree_is_masked_bfs;
         ] );
     ]

@@ -332,6 +332,155 @@ let test_checker_catches_color_corruption () =
   let bad = Decomposition.make clustering ~color_of_cluster:[| 0; 0; 0 |] in
   check bool "bad" false (is_ok (Decomposition.check bad))
 
+(* ------------------------------------------------------------------ *)
+(* Certificate check = exact check                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The certificate-based strong checks must give exactly the verdicts
+   and messages of the all-pairs reference below (the strong part of
+   the checks before they went through one BFS tree per cluster). *)
+
+let ( let* ) r f = Result.bind r f
+
+let reference_check_strong ?diameter_bound carving =
+  let* () = Carving.check_weak carving in
+  let cl = carving.Carving.clustering in
+  let bound = Option.value diameter_bound ~default:max_int in
+  let rec go c =
+    if c >= Clustering.num_clusters cl then Ok ()
+    else
+      match Clustering.strong_diameter cl c with
+      | -1 -> Error (Printf.sprintf "carving: cluster %d internally disconnected" c)
+      | d when d > bound ->
+          Error
+            (Printf.sprintf "carving: cluster %d strong diameter %d > bound %d"
+               c d bound)
+      | _ -> go (c + 1)
+  in
+  go 0
+
+let reference_decomposition_check ~domain ~bound d =
+  let* () = Decomposition.check ~domain d in
+  match Clustering.max_strong_diameter (Decomposition.clustering d) with
+  | -1 -> Error "decomposition: a cluster is internally disconnected"
+  | x when x > bound ->
+      Error (Printf.sprintf "decomposition: strong diameter %d > bound %d" x bound)
+  | _ -> Ok ()
+
+(* graph of one of four families, sized by the seed *)
+let diff_graph seed family =
+  let rng = Rng.create seed in
+  match family with
+  | 0 -> Gen.grid (2 + (seed mod 6)) (2 + (seed / 7 mod 6))
+  | 1 -> Gen.barbell (3 + (seed mod 6)) (1 + (seed / 7 mod 5))
+  | 2 -> Gen.erdos_renyi rng (8 + (seed mod 30)) 0.15
+  | _ -> Gen.path (2 + (seed mod 30))
+
+(* [k] labels: nearest of [k] random centers (connected cells, then
+   holes punched at random) or independent per node (mostly
+   disconnected); [-1] marks unclustered nodes *)
+let diff_labels g rng ~k ~regions =
+  let n = Graph.n g in
+  if not regions then Array.init n (fun _ -> Rng.int rng (k + 1) - 1)
+  else begin
+    let label = Array.make n (-1) in
+    let q = Queue.create () in
+    for c = 0 to k - 1 do
+      let v = Rng.int rng n in
+      if label.(v) < 0 then begin
+        label.(v) <- c;
+        Queue.add v q
+      end
+    done;
+    while not (Queue.is_empty q) do
+      let u = Queue.pop q in
+      Graph.iter_neighbors g u (fun v ->
+          if label.(v) < 0 then begin
+            label.(v) <- label.(u);
+            Queue.add v q
+          end)
+    done;
+    Array.map (fun l -> if Rng.int rng 8 = 0 then -1 else l) label
+  end
+
+(* unclusters every node adjacent to an earlier-kept foreign cluster,
+   so the carving contract's non-adjacency holds and the diameter
+   checks are reached *)
+let separate g label =
+  let label = Array.copy label in
+  for v = 0 to Graph.n g - 1 do
+    if label.(v) >= 0 then begin
+      let clash = ref false in
+      Graph.iter_neighbors g v (fun u ->
+          if label.(u) >= 0 && label.(u) <> label.(v) then clash := true);
+      if !clash then label.(v) <- -1
+    end
+  done;
+  label
+
+(* a bound in {none, 0 .. 2 * max connected diameter + 1} *)
+let diff_bound cl pick =
+  let worst = ref 0 in
+  for c = 0 to Clustering.num_clusters cl - 1 do
+    worst := max !worst (Clustering.strong_diameter cl c)
+  done;
+  match pick mod ((2 * !worst) + 3) with 0 -> None | b -> Some (b - 1)
+
+let diff_case =
+  QCheck.make
+    ~print:(fun (seed, family, k, regions, pick) ->
+      Printf.sprintf "seed=%d family=%d k=%d regions=%b pick=%d" seed family k
+        regions pick)
+    QCheck.Gen.(
+      map
+        (fun ((seed, family, k), (regions, pick)) ->
+          (seed, family, k, regions, pick))
+        (pair
+           (triple (int_bound 100_000) (int_bound 3) (int_range 1 6))
+           (pair bool (int_bound 1000))))
+
+let result_str = function Ok () -> "Ok" | Error e -> "Error " ^ e
+
+let agree what ~expected actual =
+  expected = actual
+  || QCheck.Test.fail_reportf "%s: expected %s, got %s" what
+       (result_str expected) (result_str actual)
+
+let prop_check_strong_exact =
+  QCheck.Test.make ~name:"check_strong matches the exact check" ~count:300
+    diff_case (fun (seed, family, k, regions, pick) ->
+      let g = diff_graph seed family in
+      let rng = Rng.create (seed + 1) in
+      let label = separate g (diff_labels g rng ~k ~regions) in
+      let cl = Clustering.make g ~cluster_of:label in
+      let carving = Carving.make cl ~domain:(Mask.full (Graph.n g)) in
+      let diameter_bound = diff_bound cl pick in
+      agree "check_strong"
+        ~expected:(reference_check_strong ?diameter_bound carving)
+        (Carving.check_strong ?diameter_bound carving))
+
+let prop_decomposition_check_exact =
+  QCheck.Test.make ~name:"Decomposition.check matches the exact check"
+    ~count:300 diff_case (fun (seed, family, k, regions, pick) ->
+      let g = diff_graph seed family in
+      let rng = Rng.create (seed + 1) in
+      let label = diff_labels g rng ~k ~regions in
+      let cl = Clustering.make g ~cluster_of:label in
+      (* one color per cluster, domain = the clustered nodes: only the
+         diameter part can fail *)
+      let d =
+        Decomposition.make cl
+          ~color_of_cluster:(Array.init (Clustering.num_clusters cl) Fun.id)
+      in
+      let domain =
+        Mask.of_list (Graph.n g)
+          (List.filter (fun v -> label.(v) >= 0) (List.init (Graph.n g) Fun.id))
+      in
+      let bound = Option.value (diff_bound cl pick) ~default:0 in
+      agree "Decomposition.check"
+        ~expected:(reference_decomposition_check ~domain ~bound d)
+        (Decomposition.check ~domain ~strong_diameter_bound:bound d))
+
 let () =
   Alcotest.run "cluster"
     [
@@ -395,4 +544,7 @@ let () =
           Alcotest.test_case "catches membership corruption" `Quick
             test_checker_catches_membership_corruption;
         ] );
+      ( "certificate check",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_check_strong_exact; prop_decomposition_check_exact ] );
     ]

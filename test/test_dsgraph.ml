@@ -287,6 +287,90 @@ let test_weak_vs_strong_diameter () =
   check int "strong disconnected" (-1) (Bfs.diameter_of_set g leaves);
   check int "weak via hub" 2 (Bfs.weak_diameter_of_set g leaves)
 
+(* the shared-buffer diameter_of_set against one masked BFS per
+   member, with duplicates and disconnected sets among the inputs *)
+let test_diameter_of_set_matches_reference () =
+  let rng = Rng.create 4 in
+  let reference g set =
+    let mask = Mask.of_list (Graph.n g) set in
+    List.fold_left
+      (fun acc s ->
+        let dist = Bfs.distances ~mask g ~source:s in
+        List.fold_left
+          (fun acc v -> if acc < 0 || dist.(v) < 0 then -1 else max acc dist.(v))
+          acc set)
+      0 set
+  in
+  List.iter
+    (fun g ->
+      let n = Graph.n g in
+      for _ = 1 to 40 do
+        let set = List.init (1 + Rng.int rng 12) (fun _ -> Rng.int rng n) in
+        check int "diameter" (reference g set) (Bfs.diameter_of_set g set)
+      done)
+    [ Gen.grid 5 5; Gen.barbell 5 4; Gen.erdos_renyi rng 30 0.12; Gen.path 12 ]
+
+(* Bfs.within on a reused scratch must equal the masked BFS of the
+   label class, for every source, with the visit count as its size *)
+let test_within_matches_masked_bfs () =
+  let rng = Rng.create 11 in
+  let graphs = [ Gen.grid 6 7; Gen.barbell 6 3; Gen.erdos_renyi rng 40 0.1 ] in
+  List.iter
+    (fun g ->
+      let n = Graph.n g in
+      let label = Array.init n (fun _ -> Rng.int rng 4 - 1) in
+      let s = Bfs.scratch n in
+      for source = 0 to n - 1 do
+        let c = label.(source) in
+        let mask =
+          Mask.of_list n (List.filter (fun v -> label.(v) = c) (List.init n Fun.id))
+        in
+        let dist = Bfs.distances ~mask g ~source in
+        let parent = Bfs.parents ~mask g ~source in
+        let k = Bfs.within s g ~label ~c ~source in
+        check int "visit count" (Array.fold_left (fun a d -> if d >= 0 then a + 1 else a) 0 dist) k;
+        for v = 0 to n - 1 do
+          check bool "reached" (dist.(v) >= 0) (Bfs.reached s v);
+          if dist.(v) >= 0 then begin
+            check int "dist" dist.(v) s.Bfs.dist.(v);
+            check int "parent" parent.(v) s.Bfs.parent.(v)
+          end
+        done;
+        for i = 1 to k - 1 do
+          check bool "queue non-decreasing" true
+            (s.Bfs.dist.(s.Bfs.queue.(i - 1)) <= s.Bfs.dist.(s.Bfs.queue.(i)))
+        done
+      done)
+    graphs
+
+let test_within_outside_label () =
+  let g = Gen.path 5 in
+  let s = Bfs.scratch 5 in
+  check bool "fresh scratch reaches nothing" false (Bfs.reached s 0);
+  ignore (Bfs.within s g ~label:[| 0; 0; 0; 0; 0 |] ~c:0 ~source:2);
+  check int "source outside" 0
+    (Bfs.within s g ~label:[| 0; 0; 1; 0; 0 |] ~c:0 ~source:2);
+  for v = 0 to 4 do
+    check bool "nothing reached" false (Bfs.reached s v)
+  done
+
+let test_within_allocation_free () =
+  let g = Gen.grid 20 20 in
+  let label = Array.init 400 (fun v -> v mod 3) in
+  let s = Bfs.scratch 400 in
+  let burst () =
+    let before = Gc.minor_words () in
+    for source = 0 to 399 do
+      ignore (Bfs.within s g ~label ~c:label.(source) ~source)
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (burst ());
+  let delta = burst () in
+  check bool
+    (Printf.sprintf "400 searches allocate nothing (%.0f words)" delta)
+    true (delta < 64.0)
+
 let test_component_of () =
   let g = Gen.disjoint_union (Gen.path 3) (Gen.path 2) in
   Alcotest.(check (list int)) "first" [ 0; 1; 2 ] (Bfs.component_of g 1);
@@ -609,6 +693,14 @@ let () =
           Alcotest.test_case "weak vs strong diameter" `Quick
             test_weak_vs_strong_diameter;
           Alcotest.test_case "component_of" `Quick test_component_of;
+          Alcotest.test_case "diameter of set matches reference" `Quick
+            test_diameter_of_set_matches_reference;
+          Alcotest.test_case "within matches masked bfs" `Quick
+            test_within_matches_masked_bfs;
+          Alcotest.test_case "within outside label" `Quick
+            test_within_outside_label;
+          Alcotest.test_case "within allocation-free" `Quick
+            test_within_allocation_free;
         ] );
       ( "components",
         [
