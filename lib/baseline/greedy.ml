@@ -25,6 +25,7 @@ let carve ?cost ?beta ?domain g ~epsilon =
      cost 10^5 steps rather than 10^11. *)
   let dist = Array.make (max 1 n) (-1) in
   let queue = Array.make (max 1 n) 0 in
+  let offsets = Graph.offsets g and targets = Graph.targets g in
   (* The smallest remaining id is monotone (nodes are only ever removed
      from [remaining]), so a cursor replaces the per-cluster
      Mask.to_list scan that made center selection O(n). *)
@@ -34,40 +35,43 @@ let carve ?cost ?beta ?domain g ~epsilon =
       incr cursor
     done;
     let center = !cursor in
-    let count =
-      Bfs.distances_into ~mask:remaining g ~source:center ~dist ~queue
+    (* Level-synchronous BFS from [center] in G[remaining], stopped as
+       soon as layer r+1 is complete: queue.(0 .. ball k - 1) holds B_k.
+       The first r with |B_{r+1}| <= β·|B_r| ends the growth; an empty
+       layer r+1 satisfies it, so an exhausted component stops at its
+       last layer. *)
+    dist.(center) <- 0;
+    queue.(0) <- center;
+    let tail = ref 1 in
+    let rec grow r layer_start =
+      let ball_r = !tail in
+      for i = layer_start to ball_r - 1 do
+        let u = queue.(i) in
+        for j = offsets.{u} to offsets.{u + 1} - 1 do
+          let v = targets.{j} in
+          if dist.(v) = -1 && Mask.mem remaining v then begin
+            dist.(v) <- r + 1;
+            queue.(!tail) <- v;
+            incr tail
+          end
+        done
+      done;
+      if float_of_int !tail <= beta *. float_of_int ball_r then r
+      else grow (r + 1) ball_r
     in
-    let maxd = dist.(queue.(count - 1)) in
-    let cum = Array.make (maxd + 1) 0 in
-    for i = 0 to count - 1 do
-      let d = dist.(queue.(i)) in
-      cum.(d) <- cum.(d) + 1
-    done;
-    for k = 1 to maxd do
-      cum.(k) <- cum.(k) + cum.(k - 1)
-    done;
-    let ball r = if r > maxd then cum.(maxd) else cum.(r) in
-    let rec find r =
-      if r >= maxd then maxd
-      else if float_of_int (ball (r + 1)) <= beta *. float_of_int (ball r) then r
-      else find (r + 1)
-    in
-    let r = find 0 in
+    let r = grow 0 0 in
+    let visited = !tail in
     (match cost with
     | None -> ()
     | Some c ->
-        Congest.Cost.charge c ~rounds:(r + 2) ~messages:(ball (r + 1))
+        Congest.Cost.charge c ~rounds:(r + 2) ~messages:visited
           ~max_bits:(2 * Congest.Bits.id_bits ~n) "greedy.grow");
     let id = !next_cluster in
     incr next_cluster;
-    for i = 0 to count - 1 do
+    for i = 0 to visited - 1 do
       let v = queue.(i) in
-      let d = dist.(v) in
-      if d <= r then begin
-        cluster_of.(v) <- id;
-        Mask.remove remaining v
-      end
-      else if d = r + 1 then Mask.remove remaining v;
+      if dist.(v) <= r then cluster_of.(v) <- id;
+      Mask.remove remaining v;
       dist.(v) <- -1
     done
   done;

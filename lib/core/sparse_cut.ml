@@ -17,7 +17,7 @@ let window ~n ~epsilon =
 (* Cumulative ball sizes from [sources] in G[domain]; position [k] holds
    |B_k|, extended conceptually by the total count beyond the last layer.
    Also returns the distance array and the max finite distance. *)
-let balls ?cost g ~domain ~sources =
+let balls g ~domain ~sources =
   let dist = Bfs.multi_distances ~mask:domain g ~sources in
   let maxd = Array.fold_left max 0 dist in
   let cum = Array.make (maxd + 1) 0 in
@@ -25,13 +25,15 @@ let balls ?cost g ~domain ~sources =
   for k = 1 to maxd do
     cum.(k) <- cum.(k) + cum.(k - 1)
   done;
-  (match cost with
+  (dist, cum, maxd)
+
+let charge_balls ?cost g ~domain maxd =
+  match cost with
   | None -> ()
   | Some c ->
       Congest.Cost.charge c ~rounds:(maxd + 1) ~messages:(Mask.count domain)
         ~max_bits:(2 * Congest.Bits.id_bits ~n:(Graph.n g))
-        "lemma31.bfs");
-  (dist, cum, maxd)
+        "lemma31.bfs"
 
 let ball_size cum maxd total k = if k > maxd then total else cum.(k)
 
@@ -59,29 +61,32 @@ let weakest_layer cum maxd total ~lo ~hi =
   done;
   !best
 
-(* Split S in half along the preorder traversal of a BFS tree rooted at the
-   smallest-identifier node of the domain (the paper's in-order trick for
-   doing this in O(D) rounds). *)
-let split_half g ~domain ~s =
-  let root = List.hd (Mask.to_list domain) in
-  let parent = Bfs.parents ~mask:domain g ~source:root in
-  let n = Graph.n g in
+(* Preorder of the BFS tree [parent] rooted at [root]; children are
+   visited in descending identifier order. *)
+let preorder ~n ~root parent =
   let children = Array.make n [] in
   for v = n - 1 downto 0 do
     if parent.(v) >= 0 && parent.(v) <> v then
       children.(parent.(v)) <- v :: children.(parent.(v))
   done;
-  let in_s = Mask.of_list n s in
   let order = ref [] in
   (* explicit stack: tree depth can reach n on path-like graphs *)
   let stack = Stack.create () in
   Stack.push root stack;
   while not (Stack.is_empty stack) do
     let v = Stack.pop stack in
-    if Mask.mem in_s v then order := v :: !order;
+    order := v :: !order;
     List.iter (fun c -> Stack.push c stack) children.(v)
   done;
-  let order = List.rev !order in
+  List.rev !order
+
+(* Split S in half along the preorder traversal of a BFS tree rooted at the
+   smallest-identifier node of the domain (the paper's in-order trick for
+   doing this in O(D) rounds). The tree does not depend on S, so one
+   preorder serves every halving of a run. *)
+let split_half ~n ~order ~s =
+  let in_s = Mask.of_list n s in
+  let order = List.filter (Mask.mem in_s) order in
   let k = List.length order in
   let rec take acc i = function
     | [] -> (List.rev acc, [])
@@ -95,20 +100,27 @@ let run ?cost ?(epsilon = 0.5) g ~domain =
   let n = Mask.count domain in
   if n = 0 then invalid_arg "Sparse_cut.run: empty domain";
   let members = Mask.to_list domain in
-  let dist0 = Bfs.multi_distances ~mask:domain g ~sources:[ List.hd members ] in
+  let root = List.hd members in
+  (* one BFS tree per run: it proves connectivity here and orders every
+     later halving of S *)
+  let parent = Bfs.parents ~mask:domain g ~source:root in
   List.iter
     (fun v ->
-      if dist0.(v) < 0 then invalid_arg "Sparse_cut.run: domain disconnected")
+      if parent.(v) < 0 then invalid_arg "Sparse_cut.run: domain disconnected")
     members;
+  let order = lazy (preorder ~n:(Graph.n g) ~root parent) in
   let k_window = window ~n ~epsilon in
   let collect dist pred =
     List.filter (fun v -> pred dist.(v)) members
   in
-  let rec iterate s =
+  (* the second argument is [balls ~sources:s], already computed when [s]
+     is the half chosen by the previous iteration; its BFS is charged
+     either way *)
+  let rec iterate s (dist, cum, maxd) =
+    charge_balls ?cost g ~domain maxd;
     match s with
-    | [ v ] ->
+    | [ _ ] ->
         (* terminal case: carve the weakest layer past a around v *)
-        let dist, cum, maxd = balls ?cost g ~domain ~sources:[ v ] in
         let a = first_radius cum maxd n ~num:1 in
         let r = weakest_layer cum maxd n ~lo:a ~hi:(a + k_window) in
         Component
@@ -117,7 +129,6 @@ let run ?cost ?(epsilon = 0.5) g ~domain =
             boundary = collect dist (fun d -> d = r + 1);
           }
     | _ ->
-        let dist, cum, maxd = balls ?cost g ~domain ~sources:s in
         let a = first_radius cum maxd n ~num:1 in
         let b = first_radius cum maxd n ~num:2 in
         if b - a >= k_window + 2 then begin
@@ -130,17 +141,19 @@ let run ?cost ?(epsilon = 0.5) g ~domain =
             }
         end
         else begin
-          let s1, s2 = split_half g ~domain ~s in
+          let s1, s2 = split_half ~n:(Graph.n g) ~order:(Lazy.force order) ~s in
           (match cost with
           | None -> ()
           | Some c ->
               Congest.Cost.charge c ~rounds:(maxd + 1)
                 ~messages:(Mask.count domain) "lemma31.split");
-          let _, cum1, maxd1 = balls ?cost g ~domain ~sources:s1 in
-          let _, cum2, maxd2 = balls ?cost g ~domain ~sources:s2 in
+          let ((_, cum1, maxd1) as ball1) = balls g ~domain ~sources:s1 in
+          charge_balls ?cost g ~domain maxd1;
+          let ((_, cum2, maxd2) as ball2) = balls g ~domain ~sources:s2 in
+          charge_balls ?cost g ~domain maxd2;
           let a1 = first_radius cum1 maxd1 n ~num:1 in
           let a2 = first_radius cum2 maxd2 n ~num:1 in
-          if a1 <= a2 then iterate s1 else iterate s2
+          if a1 <= a2 then iterate s1 ball1 else iterate s2 ball2
         end
   in
-  iterate members
+  iterate members (balls g ~domain ~sources:members)

@@ -32,21 +32,31 @@ let distances ?mask g ~source = multi_distances ?mask g ~sources:[ source ]
 
 let parents ?mask g ~source =
   let n = Graph.n g in
-  let parent = Array.make n (-1) in
+  let parent =
+    (Array.make n (-1) [@alloc_ok "the result, once per call"])
+  in
   if alive mask source then begin
     parent.(source) <- source;
-    let queue = Queue.create () in
-    Queue.add source queue;
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      Graph.iter_neighbors g u (fun v ->
-          if alive mask v && parent.(v) = -1 then begin
-            parent.(v) <- u;
-            Queue.add v queue
-          end)
+    let queue = (Array.make n 0 [@alloc_ok "queue, once per call"]) in
+    queue.(0) <- source;
+    let head = (ref 0 [@alloc_ok "two cursor cells per call, not per node"])
+    and tail = (ref 1 [@alloc_ok "two cursor cells per call, not per node"]) in
+    let offsets = Graph.offsets g and targets = Graph.targets g in
+    while !head < !tail do
+      let u = queue.(!head) in
+      incr head;
+      for i = offsets.{u} to offsets.{u + 1} - 1 do
+        let v = targets.{i} in
+        if parent.(v) = -1 && alive mask v then begin
+          parent.(v) <- u;
+          queue.(!tail) <- v;
+          incr tail
+        end
+      done
     done
   end;
   parent
+[@@hot]
 
 let ball ?mask g ~center ~radius =
   let dist = distances ?mask g ~source:center in

@@ -14,14 +14,6 @@ type result = {
   congestion : int;
 }
 
-(* Per-cluster bookkeeping, keyed by label (= identifier of the origin
-   node). *)
-type cluster_info = {
-  mutable size : int;
-  mutable joined_this_phase : int;
-  mutable stopped : bool;
-}
-
 (* A node's membership record in one cluster's Steiner tree. *)
 type tree_entry = { parent : int; depth : int }
 
@@ -37,23 +29,25 @@ let carve ?(preset = default_preset) ?cost ?domain g ~epsilon =
   in
   let id_bits = Congest.Bits.id_bits ~n in
   let b = id_bits in
+  let offsets = Graph.offsets g and targets = Graph.targets g in
   (* label.(v): current cluster label; -1 = outside the domain; -2 = dead *)
   let label = Array.make n (-1) in
   Mask.iter domain (fun v -> label.(v) <- v);
-  let alive v = label.(v) >= 0 in
-  let clusters : (int, cluster_info) Hashtbl.t = Hashtbl.create 64 in
-  (* trails.(label): the Steiner tree built for that cluster *)
-  let trails : (int, (int, tree_entry) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 64
+  (* Per-cluster bookkeeping, indexed by label (= identifier of the
+     origin node). *)
+  let size = Array.make n 0 in
+  let joined = Array.make n 0 in
+  let stopped = Array.make n false in
+  (* trails.(label): the Steiner tree built for that cluster; cells
+     outside the domain share one never-used table *)
+  let trails : (int, tree_entry) Hashtbl.t array =
+    Array.make n (Hashtbl.create 1)
   in
   Mask.iter domain (fun v ->
-      Hashtbl.replace clusters v
-        { size = 1; joined_this_phase = 0; stopped = false };
+      size.(v) <- 1;
       let t = Hashtbl.create 4 in
       Hashtbl.replace t v { parent = v; depth = 0 };
-      Hashtbl.replace trails v t);
-  let info lbl = Hashtbl.find clusters lbl in
-  let trail lbl = Hashtbl.find trails lbl in
+      trails.(v) <- t);
   (* congestion tracking: number of distinct trees using each edge *)
   let edge_trees : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
   let max_congestion = ref 0 in
@@ -69,9 +63,8 @@ let carve ?(preset = default_preset) ?cost ?domain g ~epsilon =
   let total_steps = ref 0 in
   let phase_steps = ref [] in
   let grow_threshold lbl =
-    let inf = info lbl in
-    let rg20 = epsilon /. (2.0 *. float_of_int b) *. float_of_int inf.size in
-    let ggr21 = epsilon /. 2.0 *. float_of_int (max inf.joined_this_phase 1) in
+    let rg20 = epsilon /. (2.0 *. float_of_int b) *. float_of_int size.(lbl) in
+    let ggr21 = epsilon /. 2.0 *. float_of_int (max joined.(lbl) 1) in
     match preset with
     | Rg20 -> rg20
     | Ggr21 -> ggr21
@@ -86,15 +79,11 @@ let carve ?(preset = default_preset) ?cost ?domain g ~epsilon =
   (* Join v into cluster [lbl] through neighbor [w] (already in [lbl]). *)
   let join v w lbl =
     let old = label.(v) in
-    if old >= 0 then begin
-      let oi = info old in
-      oi.size <- oi.size - 1
-    end;
+    if old >= 0 then size.(old) <- size.(old) - 1;
     label.(v) <- lbl;
-    let inf = info lbl in
-    inf.size <- inf.size + 1;
-    inf.joined_this_phase <- inf.joined_this_phase + 1;
-    let t = trail lbl in
+    size.(lbl) <- size.(lbl) + 1;
+    joined.(lbl) <- joined.(lbl) + 1;
+    let t = trails.(lbl) in
     let wd =
       match Hashtbl.find_opt t w with
       | Some e -> e.depth
@@ -115,78 +104,123 @@ let carve ?(preset = default_preset) ?cost ?domain g ~epsilon =
   in
   let kill v =
     let old = label.(v) in
-    if old >= 0 then begin
-      let oi = info old in
-      oi.size <- oi.size - 1
-    end;
+    if old >= 0 then size.(old) <- size.(old) - 1;
     label.(v) <- -2
   in
-  (* One phase: separate red (bit set) from blue (bit clear) clusters. *)
+  (* Step scratch. Proposals to cluster [lbl] form a list threaded
+     through [next_proposal], headed by [first_proposal.(lbl)] (-1 when
+     empty) and [count.(lbl)] long; [via.(v)] is the neighbour [v]
+     proposes through. [touched] lists the clusters with proposals. *)
+  let first_proposal = Array.make n (-1) in
+  let next_proposal = Array.make n (-1) in
+  let count = Array.make n 0 in
+  let via = Array.make n 0 in
+  let touched = Array.make n 0 in
+  let joiners = Array.make n 0 in
+  let seen = Array.make n (-1) in
+  let frontier = Array.make n 0 in
+  (* One phase: separate red (bit set) from blue (bit clear) clusters.
+
+     Every proposer leaves the red side in its step: it joins a blue
+     cluster or dies. Blue nodes never die and a stopped cluster stays
+     stopped for the phase. So after the phase's first step, which scans
+     every node, the proposers of a step are exactly the alive red
+     neighbours of the previous step's joiners: each node is scanned
+     once as a proposer and once as a joiner, O(n + m) per phase. *)
   let run_phase bit =
-    Hashtbl.iter
-      (fun _ inf ->
-        inf.joined_this_phase <- 0;
-        inf.stopped <- false)
-      clusters;
+    Array.fill joined 0 n 0;
+    Array.fill stopped 0 n false;
     let is_red lbl = (lbl lsr bit) land 1 = 1 in
+    let frontier_len = ref 0 in
+    for v = 0 to n - 1 do
+      if label.(v) >= 0 && is_red label.(v) then begin
+        frontier.(!frontier_len) <- v;
+        incr frontier_len
+      end
+    done;
     let continue = ref true in
     while !continue do
-      (* Collect proposals: each alive red node adjacent to a live blue
-         cluster proposes to the smallest-label such cluster (via the
-         smallest such neighbor). *)
-      let proposals : (int, (int * int) list ref) Hashtbl.t =
-        Hashtbl.create 64
-      in
+      (* Collect proposals, in ascending node order: each alive red node
+         adjacent to a live blue cluster proposes to the smallest-label
+         such cluster (via the smallest such neighbor). Prepending makes
+         each cluster's list descending, the order its joins are made in. *)
+      let num_targets = ref 0 in
       let num_proposals = ref 0 in
-      for v = 0 to n - 1 do
-        if alive v && is_red label.(v) then begin
-          let best = ref None in
-          Graph.iter_neighbors g v (fun w ->
-              if alive w && not (is_red label.(w)) then begin
-                let lw = label.(w) in
-                if not (info lw).stopped then
-                  match !best with
-                  | None -> best := Some (lw, w)
-                  | Some (bl, bw) ->
-                      if lw < bl || (lw = bl && w < bw) then best := Some (lw, w)
-              end);
-          match !best with
-          | None -> ()
-          | Some (lbl, w) ->
-              incr num_proposals;
-              let cell =
-                match Hashtbl.find_opt proposals lbl with
-                | Some r -> r
-                | None ->
-                    let r = ref [] in
-                    Hashtbl.replace proposals lbl r;
-                    r
-              in
-              cell := (v, w) :: !cell
+      for i = 0 to !frontier_len - 1 do
+        let v = frontier.(i) in
+        let best_l = ref (-1) and best_w = ref (-1) in
+        for j = offsets.{v} to offsets.{v + 1} - 1 do
+          let w = targets.{j} in
+          let lw = label.(w) in
+          if lw >= 0 && (not (is_red lw)) && not stopped.(lw) then
+            if !best_l < 0 || lw < !best_l || (lw = !best_l && w < !best_w)
+            then begin
+              best_l := lw;
+              best_w := w
+            end
+        done;
+        let lbl = !best_l in
+        if lbl >= 0 then begin
+          incr num_proposals;
+          via.(v) <- !best_w;
+          if count.(lbl) = 0 then begin
+            touched.(!num_targets) <- lbl;
+            incr num_targets
+          end;
+          count.(lbl) <- count.(lbl) + 1;
+          next_proposal.(v) <- first_proposal.(lbl);
+          first_proposal.(lbl) <- v
         end
       done;
       if !num_proposals = 0 then continue := false
       else begin
         incr total_steps;
-        (* Decide per target cluster. *)
-        Hashtbl.iter
-          (fun lbl cell ->
-            let plist = !cell in
-            let count = List.length plist in
-            if float_of_int count >= grow_threshold lbl then
-              List.iter (fun (v, w) -> join v w lbl) plist
-            else begin
-              (info lbl).stopped <- true;
-              List.iter (fun (v, _) -> kill v) plist
-            end)
-          proposals;
+        (* Decide per target cluster. A decision touches only its
+           target's counters and trail and its proposers' old clusters,
+           so the clusters can be decided in any order. *)
+        let num_joiners = ref 0 in
+        for i = 0 to !num_targets - 1 do
+          let lbl = touched.(i) in
+          let grow = float_of_int count.(lbl) >= grow_threshold lbl in
+          if not grow then stopped.(lbl) <- true;
+          let v = ref first_proposal.(lbl) in
+          while !v >= 0 do
+            let p = !v in
+            v := next_proposal.(p);
+            if grow then begin
+              join p via.(p) lbl;
+              joiners.(!num_joiners) <- p;
+              incr num_joiners
+            end
+            else kill p
+          done;
+          count.(lbl) <- 0;
+          first_proposal.(lbl) <- -1
+        done;
         (* CONGEST cost of one step: proposal exchange (1 round), count
            convergecast + decision broadcast over the Steiner trees
            (2·(depth + congestion)), join confirmations (1 round). *)
         let d = !max_depth and l = max 1 !max_congestion in
         charge
           ~rounds:(2 + (2 * (d + l)))
-          ~messages:!num_proposals ~max_bits:(2 * id_bits) "weak_carving.step"
+          ~messages:!num_proposals ~max_bits:(2 * id_bits) "weak_carving.step";
+        (* next step's proposers: the alive red neighbours of the joiners *)
+        frontier_len := 0;
+        for i = 0 to !num_joiners - 1 do
+          let u = joiners.(i) in
+          for j = offsets.{u} to offsets.{u + 1} - 1 do
+            let x = targets.{j} in
+            if seen.(x) <> !total_steps && label.(x) >= 0 && is_red label.(x)
+            then begin
+              seen.(x) <- !total_steps;
+              frontier.(!frontier_len) <- x;
+              incr frontier_len
+            end
+          done
+        done;
+        let next = Array.sub frontier 0 !frontier_len in
+        Array.sort Int.compare next;
+        Array.blit next 0 frontier 0 !frontier_len
       end
     done
   in
@@ -208,7 +242,7 @@ let carve ?(preset = default_preset) ?cost ?domain g ~epsilon =
   let labels_in_order = ref [] in
   let next = ref 0 in
   for v = 0 to n - 1 do
-    if alive v then begin
+    if label.(v) >= 0 then begin
       let lbl = label.(v) in
       let id =
         match Hashtbl.find_opt order lbl with
@@ -227,7 +261,7 @@ let carve ?(preset = default_preset) ?cost ?domain g ~epsilon =
   let forest =
     Array.map
       (fun lbl ->
-        let t = trail lbl in
+        let t = trails.(lbl) in
         let parent =
           Hashtbl.fold (fun v e acc -> (v, e.parent) :: acc) t []
         in

@@ -223,6 +223,28 @@ let test_json_deterministic () =
       check bool ("counts mention " ^ rule) true (go 0))
     Analyze_core.rules
 
+(* dune calls the main module of every executable Dune__exe__Main: two
+   units of one name need their own inventory rows and value index *)
+let test_same_name_units () =
+  let r = Analyze_core.analyze [ Filename.concat test_dir "fixtures_exe" ] in
+  let row file =
+    List.find (fun m -> m.Analyze_core.m_file = file) r.Analyze_core.r_modules
+  in
+  let a = row "test/fixtures_exe/a/main.ml"
+  and b = row "test/fixtures_exe/b/main.ml" in
+  check Alcotest.string "one module name" a.Analyze_core.m_unit
+    b.Analyze_core.m_unit;
+  check int "a: its own two refs" 2 a.Analyze_core.m_local;
+  check int "b: its own four refs" 4 b.Analyze_core.m_local;
+  (* each [run] resolves [step] in its own unit: a's allocates *)
+  check (Alcotest.list Alcotest.string) "hot findings"
+    [ "test/fixtures_exe/a/main.ml" ]
+    (List.sort_uniq compare @@ List.map
+       (fun f -> f.Analyze_core.f_file)
+       (List.filter
+          (fun f -> f.Analyze_core.f_rule = "hot-alloc")
+          r.Analyze_core.r_findings))
+
 let test_tree_analyzes_clean () =
   let root = repo_root () in
   let result = Analyze_core.analyze [ Filename.concat root "lib" ] in
@@ -266,6 +288,8 @@ let () =
             test_baseline_roundtrip;
           Alcotest.test_case "deterministic JSON with per-rule counts"
             `Quick test_json_deterministic;
+          Alcotest.test_case "same-name units kept apart" `Quick
+            test_same_name_units;
           Alcotest.test_case "shipped tree analyzes clean" `Quick
             test_tree_analyzes_clean;
         ] );

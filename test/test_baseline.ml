@@ -182,6 +182,112 @@ let test_greedy_beta_validation () =
   Alcotest.check_raises "beta" (Invalid_argument "Greedy.carve: beta must exceed 1")
     (fun () -> ignore (Greedy.carve ~beta:1.0 (Gen.path 4) ~epsilon:0.5))
 
+(* Digests recorded when every cluster's BFS covered its whole remaining
+   component; stopping after layer r+1 must keep clusters and charges. *)
+let test_greedy_golden_digests () =
+  let grid = Gen.grid 24 24 in
+  let inputs =
+    [
+      ("grid 24x24", grid, None);
+      ("barbell 60 20", Gen.barbell 60 20, None);
+      ("er 300", Gen.erdos_renyi (Rng.create 5) 300 0.02, None);
+      ( "grid 24x24 random domain",
+      grid,
+      Some (Golden.random_domain 11 grid 70) );
+    ]
+  in
+  List.iter
+    (fun (bname, beta, digests) ->
+      List.iter2
+        (fun (gname, g, domain) digest ->
+          check Alcotest.string (bname ^ " " ^ gname) digest
+            (Golden.metered_md5 (fun cost ->
+                 Golden.cluster_labels
+                   (Greedy.carve ~cost ?beta ?domain g ~epsilon:0.2))))
+        inputs digests)
+    [
+      ( "beta 1/(1-eps)",
+        None,
+        [
+          "d07301169cb527c5d3a2f232c46178c6";
+          "14d1e245e37fc6af6e0ceeb1d721cc65";
+          "fe3efba948b9c00301b58fe7f61e4357";
+          "075724a5b17e4eb7bb5f71b59c61d5cf";
+        ] );
+      ( "beta 1.01",
+        Some 1.01,
+        [
+          "8b9937692a8df0ef2ab16e930ec919d2";
+          "2ecda9fc1756498ab0ebe6d1603b83c7";
+          "4aa43ab99d28003003b47def16b01cb5";
+          "a5c05f25ad57086b86a389ef7803c76b";
+        ] );
+      ( "beta 20",
+        Some 20.0,
+        [
+          "9f620559b15c45d4f61d7336258a6b03";
+          "4548011b51d7e0c7ae8937846b821326";
+          "060d1f07ffb5389cd7beebc0cd88b92f";
+          "6abe1ff56518c4ab24e78b342e861485";
+        ] );
+    ]
+
+(* Reference greedy carving: BFS the whole remaining component of the
+   smallest remaining node, then take the first radius r with
+   |B_{r+1}| <= β·|B_r| (the last layer if none), cluster B_r and remove
+   layer r+1. *)
+let reference_greedy_carve ~cost ~beta ~domain g =
+  let n = Graph.n g in
+  let remaining = Mask.copy domain in
+  let cluster_of = Array.make n (-1) in
+  let next = ref 0 in
+  while Mask.count remaining > 0 do
+    let center = List.hd (Mask.to_list remaining) in
+    let dist = Bfs.distances ~mask:remaining g ~source:center in
+    let maxd = Array.fold_left max 0 dist in
+    let ball r =
+      Array.fold_left (fun k d -> if d >= 0 && d <= r then k + 1 else k) 0 dist
+    in
+    let rec find r =
+      if r >= maxd then maxd
+      else if float_of_int (ball (r + 1)) <= beta *. float_of_int (ball r)
+      then r
+      else find (r + 1)
+    in
+    let r = find 0 in
+    Congest.Cost.charge cost ~rounds:(r + 2) ~messages:(ball (r + 1))
+      ~max_bits:(2 * Congest.Bits.id_bits ~n) "greedy.grow";
+    Array.iteri
+      (fun v d ->
+        if d >= 0 && d <= r + 1 then Mask.remove remaining v;
+        if d >= 0 && d <= r then cluster_of.(v) <- !next)
+      dist;
+    incr next
+  done;
+  cluster_of
+
+let prop_greedy_matches_reference =
+  QCheck.Test.make ~name:"greedy carving equals the whole-component reference"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (seed, n, pct, beta, dpct) ->
+         Printf.sprintf "seed=%d n=%d p=%d%% beta=%g domain=%d%%" seed n pct
+           beta dpct)
+       QCheck.Gen.(
+         map
+           (fun ((seed, n, pct), (beta, dpct)) -> (seed, n, pct, beta, dpct))
+           (pair
+              (triple (int_bound 100_000) (int_range 1 60) (int_range 2 30))
+              (pair (oneofl [ 1.01; 2.0; 20.0 ]) (oneofl [ 40; 75; 100 ])))))
+    (fun (seed, n, pct, beta, dpct) ->
+      let g = Gen.erdos_renyi (Rng.create seed) n (float_of_int pct /. 100.0) in
+      let domain = Golden.random_domain (seed + 1) g dpct in
+      Golden.metered_md5 (fun cost ->
+          Golden.cluster_labels
+            (Greedy.carve ~cost ~beta ~domain g ~epsilon:0.5))
+      = Golden.metered_md5 (fun cost ->
+            reference_greedy_carve ~cost ~beta ~domain g))
+
 (* ------------------------------------------------------------------ *)
 (* ABCP                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -290,6 +396,7 @@ let () =
             test_greedy_tradeoff_direction;
           Alcotest.test_case "deterministic" `Quick test_greedy_deterministic;
           Alcotest.test_case "beta validation" `Quick test_greedy_beta_validation;
+          Alcotest.test_case "golden digests" `Quick test_greedy_golden_digests;
         ] );
       ( "abcp",
         [
@@ -301,6 +408,12 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_ls_carve; prop_mpx_carve; prop_greedy_carve; prop_abcp_carve ]
+          [
+            prop_ls_carve;
+            prop_mpx_carve;
+            prop_greedy_carve;
+            prop_greedy_matches_reference;
+            prop_abcp_carve;
+          ]
       );
     ]

@@ -142,6 +142,56 @@ let test_sparse_cut_charges_cost () =
   ignore (SC.run ~cost g ~domain:(Mask.full 64));
   check bool "rounds" true (Congest.Cost.rounds cost > 0)
 
+(* Digests recorded when every halving recomputed the split tree and the
+   chosen half's balls: building the tree once per run and reusing the
+   balls must keep outcomes, charges and their order. *)
+let test_sparse_cut_golden_digests () =
+  let masked =
+    let g = Gen.grid 20 20 in
+    let domain = Golden.random_domain 3 g 75 in
+    (g, Mask.of_list 400 (Components.largest ~mask:domain g))
+  in
+  let full g = (g, Mask.full (Graph.n g)) in
+  List.iter
+    (fun (name, (g, domain), epsilon, is_cut, digest) ->
+      let outcome = SC.run ~epsilon g ~domain in
+      check bool (name ^ " outcome kind") is_cut
+        (match outcome with SC.Cut _ -> true | SC.Component _ -> false);
+      check Alcotest.string name digest
+        (Golden.metered_md5 (fun cost -> SC.run ~cost ~epsilon g ~domain)))
+    [
+      ( "barbell 60 20",
+        full (Gen.barbell 60 20),
+        0.5,
+        true,
+        "dc83d7531b52f0ecdf8cb7e91a020494" );
+      ( "path 200",
+        full (Gen.path 200),
+        0.5,
+        true,
+        "26fff290e13fcdd74a4dded78903cfd1" );
+      ( "lollipop 40 60",
+        full (Gen.lollipop 40 60),
+        0.5,
+        true,
+        "1b04ba117580b2c9052f77a72eff4521" );
+      ( "lollipop 60 20",
+        full (Gen.lollipop 60 20),
+        0.5,
+        false,
+        "5da28c13a322d3b199084dc25af3f5b0" );
+      ( "grid 12x12",
+        full (Gen.grid 12 12),
+        0.5,
+        false,
+        "7955b11fa89fd7e90b43b5f3117fcd50" );
+      ( "grid 20x20 masked",
+        masked,
+        0.2,
+        false,
+        "e0b5ed517c34ef7872571fbd2299a965" );
+    ]
+
 let test_sparse_cut_window_monotone () =
   check bool "smaller eps, larger window" true
     (SC.window ~n:1024 ~epsilon:0.25 > SC.window ~n:1024 ~epsilon:0.5);
@@ -671,6 +721,8 @@ let () =
           Alcotest.test_case "charges cost" `Quick test_sparse_cut_charges_cost;
           Alcotest.test_case "window monotone" `Quick
             test_sparse_cut_window_monotone;
+          Alcotest.test_case "golden digests" `Quick
+            test_sparse_cut_golden_digests;
         ] );
       ( "thm22",
         [

@@ -262,6 +262,61 @@ let prop_distributed_matches_engine =
       let r = Dist.carve g ~epsilon:0.5 in
       Dist.matches_engine r)
 
+let golden_inputs () =
+  let grid = Gen.grid 24 24 in
+  [
+    ("grid 24x24", grid, None);
+    ("barbell 60 20", Gen.barbell 60 20, None);
+    ("er 300", Gen.erdos_renyi (Rng.create 5) 300 0.02, None);
+    ( "grid 24x24 random domain",
+      grid,
+      Some (Golden.random_domain 11 grid 70) );
+  ]
+
+(* Digests recorded from the engine that rescanned every node in every
+   step; the frontier engine must reproduce labels, forests (parent-list
+   order included), step counts, depth, congestion and every charge. *)
+let test_golden_digests () =
+  List.iter
+    (fun (pname, preset, digests) ->
+      List.iter2
+        (fun (gname, g, domain) digest ->
+          check Alcotest.string (pname ^ " " ^ gname) digest
+            (Golden.metered_md5 (fun cost ->
+                 let r = WC.carve ~preset ~cost ?domain g ~epsilon:0.5 in
+                 ( Golden.cluster_labels r.WC.carving,
+                   r.WC.forest,
+                   r.WC.steps_per_phase,
+                   r.WC.max_depth,
+                   r.WC.congestion ))))
+        (golden_inputs ()) digests)
+    [
+      ( "rg20",
+        WC.Rg20,
+        [
+          "fb2f04d67f64afe2c4fe797eb37db965";
+          "f9943af33e7e7498a04ae4b3a3a854b8";
+          "d6bffddaa7e0eb6faf2ea0887be1e83e";
+          "629d7c54f7f8fbbe80632c3fcaf5d195";
+        ] );
+      ( "ggr21",
+        WC.Ggr21,
+        [
+          "01c593a2ab30884bcfed34ec6ad8970f";
+          "d33f91a61d76a326d4739fcbe65b9e7e";
+          "5565f81f5eb825b669667566a12142d4";
+          "bf08651e566f325e4186b1f3d29a0883";
+        ] );
+      ( "hybrid",
+        WC.Hybrid,
+        [
+          "fb2f04d67f64afe2c4fe797eb37db965";
+          "03b5426331dc697651f62d79622e551c";
+          "78a31adfb012760006e09974fbdf7bc0";
+          "33d3363e3de9cd8344ef1479a5c93be5";
+        ] );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Activity-driven simulation                                           *)
 (* ------------------------------------------------------------------ *)
@@ -480,6 +535,7 @@ let () =
           Alcotest.test_case "isolated nodes" `Quick test_two_isolated_nodes;
           Alcotest.test_case "complete graph" `Quick
             test_complete_graph_one_cluster;
+          Alcotest.test_case "golden digests" `Quick test_golden_digests;
         ] );
       ( "distributed",
         [

@@ -1,5 +1,6 @@
 (* Driver for the typed whole-program analyzer: sweep every .cmt under
-   the given roots (default: dune's output for lib/, bench/ and bin/),
+   the given roots (default: dune's output for lib/, bench/, bin/ and
+   sdbench/),
    print findings and the per-module domain-safety summary, optionally
    write the JSON report, and exit non-zero when un-annotated shared
    mutable state or hot-path allocations remain.
@@ -12,7 +13,12 @@
    `dune build @check` (or a plain build) first so they exist. *)
 
 let default_roots =
-  [ "_build/default/lib"; "_build/default/bench"; "_build/default/bin" ]
+  [
+    "_build/default/lib";
+    "_build/default/bench";
+    "_build/default/bin";
+    "_build/default/sdbench";
+  ]
 
 let usage () =
   prerr_endline

@@ -269,14 +269,30 @@ let load_units roots =
 (* ---------------------------------------------------------------- *)
 
 type index = {
-  (* (unit, dotted path inside unit) -> binding *)
+  (* (unit key, dotted path inside unit) -> binding *)
   values : (string * string, Typedtree.value_binding) Hashtbl.t;
-  (* (unit, dotted module path) -> target path name, for module aliases
-     like `module Bfs = Dsgraph__Bfs` in dune's generated wrappers and
-     `module A = Hot_dep` written by hand *)
+  (* (unit key, dotted module path) -> target path name, for module
+     aliases like `module Bfs = Dsgraph__Bfs` in dune's generated
+     wrappers and `module A = Hot_dep` written by hand *)
   aliases : (string * string, string) Hashtbl.t;
-  unit_names : (string, unit) Hashtbl.t;
+  (* module name -> every unit of that name: dune calls the main module
+     of each executable Dune__exe__Main, so one name can denote several
+     units *)
+  units : (string, unit_info) Hashtbl.t;
 }
+
+(* a unit is its module name plus its source file: the name alone is
+   not unique across executables *)
+let unit_key u = u.u_name ^ "@" ^ u.u_file
+
+(* the unit a module name denotes when referenced from [near]: the only
+   unit of that name, else the one beside [near] *)
+let unit_named idx ~near name =
+  match Hashtbl.find_all idx.units name with
+  | [ u ] -> Some u
+  | us ->
+      let dir = Filename.dirname near.u_file in
+      List.find_opt (fun u -> Filename.dirname u.u_file = dir) us
 
 let pat_name (p : Typedtree.pattern) =
   match p.Typedtree.pat_desc with
@@ -295,7 +311,7 @@ let index_units units =
     {
       values = Hashtbl.create 512;
       aliases = Hashtbl.create 64;
-      unit_names = Hashtbl.create 64;
+      units = Hashtbl.create 64;
     }
   in
   let rec index_module u prefix (me : Typedtree.module_expr) =
@@ -304,7 +320,7 @@ let index_units units =
     | Typedtree.Tmod_functor (_, body) -> index_module u prefix body
     | Typedtree.Tmod_constraint (m, _, _, _) -> index_module u prefix m
     | Typedtree.Tmod_ident (p, _) ->
-        Hashtbl.replace idx.aliases (u, prefix) (Path.name p)
+        Hashtbl.replace idx.aliases (unit_key u, prefix) (Path.name p)
     | _ -> ()
   and index_structure u prefix (str : Typedtree.structure) =
     List.iter
@@ -318,7 +334,7 @@ let index_units units =
                     let key =
                       if prefix = "" then name else prefix ^ "." ^ name
                     in
-                    Hashtbl.replace idx.values (u, key) vb
+                    Hashtbl.replace idx.values (unit_key u, key) vb
                 | None -> ())
               vbs
         | Typedtree.Tstr_module mb -> (
@@ -347,8 +363,8 @@ let index_units units =
   in
   List.iter
     (fun u ->
-      Hashtbl.replace idx.unit_names u.u_name ();
-      index_structure u.u_name "" u.u_str)
+      Hashtbl.add idx.units u.u_name u;
+      index_structure u "" u.u_str)
     units;
   idx
 
@@ -358,7 +374,7 @@ let index_units units =
    through wrapper/alias modules (Dsgraph.Bfs.f via the alias index),
    and a unique "__Suffix" match as a last resort. *)
 let resolve_value idx ~from_unit name =
-  let try_key u v = Hashtbl.find_opt idx.values (u, v) in
+  let try_key u v = Hashtbl.find_opt idx.values (unit_key u, v) in
   let joined comps = String.concat "." comps in
   let rec through_aliases u comps fuel =
     match comps with
@@ -379,17 +395,27 @@ let resolve_value idx ~from_unit name =
             let rec first = function
               | [] -> None
               | (pre, tl) :: more -> (
-                  match Hashtbl.find_opt idx.aliases (u, joined pre) with
+                  match
+                    Hashtbl.find_opt idx.aliases (unit_key u, joined pre)
+                  with
                   | Some target when tl <> [] -> (
                       let tcomps = split_dots target in
-                      match tcomps with
-                      | tu :: tsub when Hashtbl.mem idx.unit_names tu -> (
+                      let target_unit =
+                        match tcomps with
+                        | tu :: tsub ->
+                            Option.map
+                              (fun tu -> (tu, tsub))
+                              (unit_named idx ~near:u tu)
+                        | [] -> None
+                      in
+                      match target_unit with
+                      | Some (tu, tsub) -> (
                           match
                             through_aliases tu (tsub @ tl) (fuel - 1)
                           with
                           | Some vb -> Some vb
                           | None -> first more)
-                      | _ -> (
+                      | None -> (
                           match
                             through_aliases u (tcomps @ tl) (fuel - 1)
                           with
@@ -408,29 +434,27 @@ let resolve_value idx ~from_unit name =
       | Some vb -> Some vb
       | None -> (
           (* cross-unit: first component is a compilation unit *)
-          if Hashtbl.mem idx.unit_names head then
-            match through_aliases head rest 4 with
-            | Some vb -> Some vb
-            | None -> None
-          else
-            (* unique mangled-name suffix: Bfs.f -> Dsgraph__Bfs.f *)
-            let suffix = "__" ^ head in
-            let matches =
-              Hashtbl.fold
-                (fun u () acc ->
-                  if
-                    String.length u > String.length suffix
-                    && String.sub u
-                         (String.length u - String.length suffix)
-                         (String.length suffix)
-                       = suffix
-                  then u :: acc
-                  else acc)
-                idx.unit_names []
-            in
-            match matches with
-            | [ u ] -> through_aliases u rest 4
-            | _ -> None))
+          match unit_named idx ~near:from_unit head with
+          | Some u -> through_aliases u rest 4
+          | None ->
+              (* unique mangled-name suffix: Bfs.f -> Dsgraph__Bfs.f *)
+              let suffix = "__" ^ head in
+              let matches =
+                Hashtbl.fold
+                  (fun name u acc ->
+                    if
+                      String.length name > String.length suffix
+                      && String.sub name
+                           (String.length name - String.length suffix)
+                           (String.length suffix)
+                         = suffix
+                    then u :: acc
+                    else acc)
+                  idx.units []
+              in
+              match matches with
+              | [ u ] -> through_aliases u rest 4
+              | _ -> None))
 
 (* ---------------------------------------------------------------- *)
 (* mutable-creation detection                                        *)
@@ -701,7 +725,7 @@ let rec hot_bodies (e : Typedtree.expression) =
 type hot_ctx = {
   hc_idx : index;
   hc_file : string;
-  hc_unit : string;
+  hc_unit : unit_info;
   hc_fn : string;
   mutable hc_findings : finding list;
   mutable hc_accepted : int;
@@ -820,7 +844,7 @@ and hot_call hc ~depth ~chain ~loc name =
               (mark it [@hot] or [@alloc_ok])"
              name)
       else begin
-        let key = (hc.hc_unit, name) in
+        let key = (unit_key hc.hc_unit, name) in
         if not (Hashtbl.mem hc.hc_visiting key) then begin
           Hashtbl.add hc.hc_visiting key ();
           List.iter
@@ -950,7 +974,7 @@ let sweep_unit st (u : unit_info) =
         {
           hc_idx = st.s_idx;
           hc_file = file;
-          hc_unit = u.u_name;
+          hc_unit = u;
           hc_fn = fn_name;
           hc_findings = [];
           hc_accepted = 0;
@@ -1141,7 +1165,11 @@ let analyze ?(config = default_config) roots =
   let modules =
     List.map
       (fun u ->
-        let mine = List.filter (fun e -> e.e_unit = u.u_name) entries in
+        let mine =
+          List.filter
+            (fun e -> e.e_unit = u.u_name && e.e_file = u.u_file)
+            entries
+        in
         let count p = List.length (List.filter p mine) in
         {
           m_unit = u.u_name;

@@ -1,6 +1,6 @@
 (* CONGEST conformance lint driver:
 
-     dune exec tools/lint/lint.exe                     # lint lib/ bin/ bench/
+     dune exec tools/lint/lint.exe                     # lint lib/ bin/ bench/ sdbench/
      dune exec tools/lint/lint.exe -- --json lint_results.json lib
 
    Exits non-zero iff any finding survives the allow list. *)
@@ -37,7 +37,7 @@ let () =
   in
   Arg.parse spec
     (fun r -> roots := r :: !roots)
-    "lint [options] [DIR ...]   (default: lib bin bench)";
+    "lint [options] [DIR ...]   (default: lib bin bench sdbench)";
   if !list_rules then begin
     List.iter
       (fun (name, doc) -> Printf.printf "%-18s %s\n" name doc)
@@ -46,7 +46,7 @@ let () =
   end;
   let config = { Lint_core.disabled = !disabled; allow = !allow } in
   let roots =
-    if !roots = [] then [ "lib"; "bin"; "bench" ] else List.rev !roots
+    if !roots = [] then [ "lib"; "bin"; "bench"; "sdbench" ] else List.rev !roots
   in
   let files = Lint_core.ml_files roots in
   if files = [] then begin
