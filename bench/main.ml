@@ -7,6 +7,10 @@
            dune exec bench/main.exe -- full    (adds the n=16384 sweep)
            dune exec bench/main.exe -- quick   (smoke-test sizes)
            dune exec bench/main.exe -- trace   (observability overhead only)
+           dune exec bench/main.exe -- trace quick
+                                               (CI-smoke reps; a second word
+                                                'quick' also shrinks conform,
+                                                causal, resource and chaos)
            dune exec bench/main.exe -- record  (append a headline snapshot
                                                 to BENCH_trajectory.json) *)
 
@@ -39,17 +43,26 @@ let mode =
   | _ :: "dashboard" :: _ -> `Dashboard
   | _ -> `Standard
 
-(* `chaos quick` shrinks the sweep to CI-smoke size *)
-let chaos_quick =
-  match Array.to_list Sys.argv with
-  | _ :: "chaos" :: "quick" :: _ -> true
-  | _ -> false
+(* a second word "quick" (`trace quick`, `resource quick`, `chaos quick`,
+   ...) shrinks the overhead reps and the chaos sweep to CI-smoke size *)
+let quick =
+  match Array.to_list Sys.argv with _ :: _ :: "quick" :: _ -> true | _ -> false
 
-(* `resource quick` shrinks the overhead medians to CI-smoke size *)
-let resource_quick =
-  match Array.to_list Sys.argv with
-  | _ :: "resource" :: "quick" :: _ -> true
-  | _ -> false
+let results_dir = "bench_results"
+
+(* writes bench_results/<file>; an unwritable results directory is
+   reported, never fatal *)
+let write_result file contents =
+  try
+    if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755;
+    let oc = open_out (Filename.concat results_dir file) in
+    output_string oc contents;
+    close_out oc;
+    Format.fprintf fmt "@.CSV dump written to %s/%s@." results_dir file
+  with Sys_error e -> Format.fprintf fmt "@.(skipping CSV dump: %s)@." e
+
+let write_csv ~file ~header rows =
+  write_result file (String.concat "\n" (header :: rows) ^ "\n")
 
 (* surface the simulator's incomplete-run warnings (Sim.simulate with
    on_incomplete = `Warn logs to the "congest.sim" source) *)
@@ -675,300 +688,222 @@ let bechamel_suite () =
     [ test_table1; test_table2; test_figures ]
 
 (* ------------------------------------------------------------------ *)
-(* T.TRACE: observability overhead                                      *)
+(* Overhead tables: T.TRACE, T.SPAN, M.RES, C.CONF                       *)
 (* ------------------------------------------------------------------ *)
 
-(* median wall-clock of [reps] runs of [f] *)
-let median_seconds ~reps f =
-  let samples =
-    List.init reps (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        Unix.gettimeofday () -. t0)
-  in
-  let sorted = List.sort compare samples in
-  List.nth sorted (reps / 2)
+(* One overhead table: every row times its baseline thunk, its
+   instrumented thunk, then the baseline again (the noise floor)
+   through Workload.Stats.overhead. [labels] name the two variants in
+   the printed header and the CSV columns
+   ("<base>_seconds,<instr>_seconds,<base>2_seconds"). *)
+type overhead_table = {
+  title : string;
+  blurb : string;
+  labels : string * string;
+  csv : string;
+  reps : int;
+  rows : (string * (unit -> unit) * (unit -> unit)) list;
+}
 
-let trace_experiment () =
-  section
-    "T.TRACE -- wall-clock overhead of the per-round event sink on \
-     simulator-heavy workloads";
-  Format.fprintf fmt
-    "Each workload runs with no sink (off), with a sink attached (on), \
-     then with no@.sink again (off2, the noise floor). The observability \
-     contract is: 'off' pays@.nothing — the hot path only tests an option \
-     — and 'on' stays within a few@.percent. overhead%% = (on - off) / \
-     off; compare it against the floor.@.@.";
-  let reps = match mode with `Quick -> 3 | _ -> 9 in
+let run_overhead t =
+  section t.title;
+  Format.fprintf fmt "%s@.@." t.blurb;
+  let base, instr = t.labels in
+  Format.fprintf fmt "%-24s %5s %12s %12s %12s %10s %10s@." "workload" "reps"
+    (base ^ "(s)") (instr ^ "(s)") (base ^ "2(s)") "overhead%" "floor%";
+  let lines =
+    List.map
+      (fun (name, baseline, instrumented) ->
+        let o = Workload.Stats.overhead ~reps:t.reps ~baseline ~instrumented in
+        let off = o.off.median and on = o.on.median and off2 = o.off2.median in
+        Format.fprintf fmt "%-24s %5d %12.4f %12.4f %12.4f %10.2f %10.2f@."
+          name t.reps off on off2 o.overhead_pct o.floor_pct;
+        Printf.sprintf "%s,%d,%.6f,%.6f,%.6f,%.3f,%.3f" name t.reps off on off2
+          o.overhead_pct o.floor_pct)
+      t.rows
+  in
+  write_csv ~file:t.csv
+    ~header:
+      (Printf.sprintf
+         "workload,reps,%s_seconds,%s_seconds,%s2_seconds,overhead_pct,floor_pct"
+         base instr base)
+    lines
+
+(* [iters] runs of [f] per sample, so sub-millisecond workloads rise
+   above timer noise *)
+let batch iters f () =
+  for _ = 1 to iters do
+    f ()
+  done
+
+let weak_carve_sim ?conformance g sink =
+  ignore (Weakdiam.Distributed.carve ?conformance ~trace:sink g ~epsilon:0.5)
+
+let thm23 g sink =
+  let cost = Congest.Cost.create ~trace:sink () in
+  ignore (Strongdecomp.Netdecomp.strong ~cost g)
+
+(* T.TRACE: the observability contract is that 'off' pays nothing (the
+   hot path only tests an option) and 'on' stays within a few percent *)
+let trace_table () =
   let er = Suite.erdos_renyi.Suite.build ~seed ~n:96 in
   let grid = Gen.grid 8 8 in
-  (* iters batches sub-millisecond workloads so one sample rises above
-     timer noise; each traced iteration gets a fresh sink *)
-  let workloads =
-    [
-      ( "leader_election/er96",
-        200,
-        fun trace -> ignore (Congest.Programs.leader_election ?trace er) );
-      ( "bfs/er96",
-        200,
-        fun trace -> ignore (Congest.Programs.bfs ?trace er ~source:0) );
-      ( "weak_carve_sim/grid64",
-        2,
-        fun trace ->
-          ignore (Weakdiam.Distributed.carve ?trace grid ~epsilon:0.5) );
-    ]
+  let sink = Congest.Trace.sink () in
+  (* each traced iteration gets a cleared sink *)
+  let row name iters exec =
+    ( name,
+      batch iters (fun () -> exec None),
+      batch iters (fun () ->
+          Congest.Trace.clear sink;
+          exec (Some sink)) )
   in
-  Format.fprintf fmt "%-24s %5s %10s %10s %10s %10s %10s@." "workload" "reps"
-    "off(s)" "on(s)" "off2(s)" "overhead%" "floor%";
-  let rows =
-    List.map
-      (fun (name, iters, exec) ->
-        let sink = Congest.Trace.sink () in
-        let batch trace () =
-          for _ = 1 to iters do
-            if trace then begin
-              Congest.Trace.clear sink;
-              exec (Some sink)
-            end
-            else exec None
-          done
-        in
-        (* warm-up, excluded from the samples *)
-        batch false ();
-        let off = median_seconds ~reps (batch false) in
-        let on = median_seconds ~reps (batch true) in
-        let off2 = median_seconds ~reps (batch false) in
-        let pct a b = 100.0 *. (a -. b) /. Float.max b 1e-9 in
-        let overhead = pct on off and floor = pct off2 off in
-        Format.fprintf fmt "%-24s %5d %10.4f %10.4f %10.4f %10.2f %10.2f@."
-          name reps off on off2 overhead floor;
-        (name, reps, off, on, off2, overhead, floor))
-      workloads
-  in
-  Format.pp_print_flush fmt ();
-  rows
+  {
+    title =
+      "T.TRACE -- wall-clock overhead of the per-round event sink on \
+       simulator-heavy workloads";
+    blurb =
+      "Each workload runs with no sink (off), with a sink attached (on), \
+       then with no\n\
+       sink again (off2, the noise floor). The observability contract is: \
+       'off' pays\n\
+       nothing — the hot path only tests an option — and 'on' stays \
+       within a few\n\
+       percent. overhead% = (on - off) / off; compare it against the floor.";
+    labels = ("off", "on");
+    csv = "trace_overhead.csv";
+    reps = (if quick then 3 else 9);
+    rows =
+      [
+        row "leader_election/er96" 200 (fun trace ->
+            ignore (Congest.Programs.leader_election ?trace er));
+        row "bfs/er96" 200 (fun trace ->
+            ignore (Congest.Programs.bfs ?trace er ~source:0));
+        row "weak_carve_sim/grid64" 2 (fun trace ->
+            ignore (Weakdiam.Distributed.carve ?trace grid ~epsilon:0.5));
+      ];
+  }
 
-(* T.SPAN: the tentpole acceptance number — spans must cost a few percent
-   at most over tracing alone, since every enter/exit only pushes one
-   packed event and touches two float cells *)
-let span_overhead_experiment () =
-  section
-    "T.SPAN -- wall-clock overhead of phase spans over tracing alone";
-  Format.fprintf fmt
-    "Both columns attach a sink; 'trace' disables spans (~spans:false), \
-     'spans' is the@.default sink with the full phase hierarchy recorded. \
-     trace2 re-runs the@.tracing-only batch as the noise floor. The budget \
-     is overhead%% <= 5.@.@.";
-  let reps = match mode with `Quick -> 3 | _ -> 15 in
+(* T.SPAN: spans must cost a few percent at most over tracing alone,
+   since every enter/exit only pushes one packed event and touches two
+   float cells *)
+let span_table () =
   let grid = Gen.grid 8 8 in
-  let workloads =
-    [
-      ( "weak_carve_sim/grid64",
-        2,
-        fun sink ->
-          ignore (Weakdiam.Distributed.carve ~trace:sink grid ~epsilon:0.5) );
-      ( "thm2.3/grid64",
-        2,
-        fun sink ->
-          let cost = Congest.Cost.create ~trace:sink () in
-          ignore (Strongdecomp.Netdecomp.strong ~cost grid) );
-    ]
+  let plain = Congest.Trace.sink ~spans:false () in
+  let spanned = Congest.Trace.sink () in
+  let row name exec =
+    let on sink () =
+      Congest.Trace.clear sink;
+      exec sink
+    in
+    (name, batch 2 (on plain), batch 2 (on spanned))
   in
-  Format.fprintf fmt "%-24s %5s %10s %10s %10s %10s %10s@." "workload" "reps"
-    "trace(s)" "spans(s)" "trace2(s)" "overhead%" "floor%";
-  let rows =
-    List.map
-      (fun (name, iters, exec) ->
-        let plain = Congest.Trace.sink ~spans:false () in
-        let spanned = Congest.Trace.sink () in
-        let batch sink () =
-          for _ = 1 to iters do
-            Congest.Trace.clear sink;
-            exec sink
-          done
-        in
-        (* warm both variants so neither pays cold caches *)
-        batch spanned ();
-        batch plain ();
-        let off = median_seconds ~reps (batch plain) in
-        let on = median_seconds ~reps (batch spanned) in
-        let off2 = median_seconds ~reps (batch plain) in
-        let pct a b = 100.0 *. (a -. b) /. Float.max b 1e-9 in
-        let overhead = pct on off and floor = pct off2 off in
-        Format.fprintf fmt "%-24s %5d %10.4f %10.4f %10.4f %10.2f %10.2f@."
-          name reps off on off2 overhead floor;
-        (name, reps, off, on, off2, overhead, floor))
-      workloads
-  in
-  Format.pp_print_flush fmt ();
-  rows
+  {
+    title = "T.SPAN -- wall-clock overhead of phase spans over tracing alone";
+    blurb =
+      "Both columns attach a sink; 'trace' disables spans (~spans:false), \
+       'spans' is the\n\
+       default sink with the full phase hierarchy recorded. trace2 re-runs \
+       the\n\
+       tracing-only batch as the noise floor. The budget is overhead% <= 5.";
+    labels = ("trace", "spans");
+    csv = "span_overhead.csv";
+    reps = (if quick then 3 else 15);
+    rows =
+      [
+        row "weak_carve_sim/grid64" (weak_carve_sim grid);
+        row "thm2.3/grid64" (thm23 grid);
+      ];
+  }
 
-(* M.RES: wall-clock overhead of the resource recorder over spans alone.
-   Every span enter/exit additionally reads the clock plus the GC
-   counters and charges one delta — the budget is overhead% <= 5 on the
-   span-dense simulator workload, and CI gates on it (resource mode). *)
-let resource_overhead_experiment () =
-  section
-    "M.RES -- wall-clock overhead of the resource recorder over spans alone";
-  Format.fprintf fmt
-    "Both columns attach a default (spans-enabled) sink; 'resources' \
-     additionally@.attaches a fresh Congest.Resource recorder per \
-     iteration, so every span@.transition samples the clock and the GC \
-     counters. spans2 re-runs the@.spans-only batch as the noise floor. \
-     The budget is overhead%% <= 5.@.@.";
-  let reps = if resource_quick then 5 else 15 in
+(* M.RES: every span enter/exit additionally reads the clock plus the
+   GC counters and charges one delta -- the budget is overhead% <= 5 on
+   the span-dense simulator workload, and CI gates on it *)
+let resource_table () =
   let grid = Gen.grid 8 8 in
-  let grid16 = Gen.grid 16 16 in
-  let workloads =
-    [
-      ( "weak_carve_sim/grid64",
-        2,
-        fun sink ->
-          ignore (Weakdiam.Distributed.carve ~trace:sink grid ~epsilon:0.5) );
-      (* the strong engine is span-dense but fast: run it on grid256 so
-         the batch is long enough for the median to mean something *)
-      ( "thm2.3/grid256",
-        2,
-        fun sink ->
-          let cost = Congest.Cost.create ~trace:sink () in
-          ignore (Strongdecomp.Netdecomp.strong ~cost grid16) );
-    ]
+  let sink = Congest.Trace.sink () in
+  (* Trace.clear resets the hooks, so the spans-only batches run with
+     no recorder attached even after a resourced batch *)
+  let row name exec =
+    let run resourced () =
+      Congest.Trace.clear sink;
+      if resourced then Resource.attach (Resource.create ()) sink;
+      exec sink
+    in
+    (name, batch 2 (run false), batch 2 (run true))
   in
-  Format.fprintf fmt "%-24s %5s %10s %10s %10s %10s %10s@." "workload" "reps"
-    "spans(s)" "resources" "spans2(s)" "overhead%" "floor%";
-  let rows =
-    List.map
-      (fun (name, iters, exec) ->
-        let sink = Congest.Trace.sink () in
-        (* Trace.clear resets the hooks, so the spans-only batches run
-           with no recorder attached even after a resourced batch *)
-        let batch resourced () =
-          for _ = 1 to iters do
-            Congest.Trace.clear sink;
-            if resourced then Resource.attach (Resource.create ()) sink;
-            exec sink
-          done
-        in
-        batch true ();
-        batch false ();
-        (* settle the heap between batches so one column does not pay
-           the major collections of the previous column's garbage *)
-        let settle () = Gc.full_major () in
-        settle ();
-        let off = median_seconds ~reps (batch false) in
-        settle ();
-        let on = median_seconds ~reps (batch true) in
-        settle ();
-        let off2 = median_seconds ~reps (batch false) in
-        let pct a b = 100.0 *. (a -. b) /. Float.max b 1e-9 in
-        let overhead = pct on off and floor = pct off2 off in
-        Format.fprintf fmt "%-24s %5d %10.4f %10.4f %10.4f %10.2f %10.2f@."
-          name reps off on off2 overhead floor;
-        (name, reps, off, on, off2, overhead, floor))
-      workloads
-  in
-  Format.pp_print_flush fmt ();
-  rows
+  {
+    title =
+      "M.RES -- wall-clock overhead of the resource recorder over spans alone";
+    blurb =
+      "Both columns attach a default (spans-enabled) sink; 'resources' \
+       additionally\n\
+       attaches a fresh Congest.Resource recorder per iteration, so every \
+       span\n\
+       transition samples the clock and the GC counters. spans2 re-runs \
+       the\n\
+       spans-only batch as the noise floor. The budget is overhead% <= 5.";
+    labels = ("spans", "resources");
+    csv = "resource_overhead.csv";
+    reps = (if quick then 5 else 15);
+    rows =
+      [
+        row "weak_carve_sim/grid64" (weak_carve_sim grid);
+        (* the strong engine is span-dense but fast: run it on grid256 so
+           the batch is long enough for the median to mean something *)
+        row "thm2.3/grid256" (thm23 (Gen.grid 16 16));
+      ];
+  }
 
-let run_resource_only () =
-  let t0 = Unix.gettimeofday () in
-  let rows = resource_overhead_experiment () in
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let oc = open_out (Filename.concat dir "resource_overhead.csv") in
-     output_string oc
-       "workload,reps,spans_seconds,resources_seconds,spans2_seconds,overhead_pct,floor_pct\n";
-     List.iter
-       (fun (name, reps, off, on, off2, overhead, floor) ->
-         output_string oc
-           (Printf.sprintf "%s,%d,%.6f,%.6f,%.6f,%.3f,%.3f\n" name reps off
-              on off2 overhead floor))
-       rows;
-     close_out oc;
-     Format.fprintf fmt
-       "@.CSV dump written to bench_results/resource_overhead.csv@."
-   with Sys_error e -> Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
-
-(* C.CONF: wall-clock cost of the model-invariant verifier's per-round
-   instrumentation over a plain traced run. The always-on checks (edge
-   discipline + halt monotonicity) must stay within the ~10% budget;
-   order-invariant workloads additionally re-run every multi-message
-   round on the reversed inbox, which deliberately doubles round work,
-   so they are labeled and judged separately. *)
-let conform_overhead_experiment () =
-  section
-    "C.CONF -- wall-clock overhead of conformance instrumentation over \
-     tracing alone";
-  Format.fprintf fmt
-    "Both columns attach a sink; 'verified' additionally wraps the \
-     program in@.Congest.Conformance.instrument. traced2 re-runs the \
-     tracing-only batch as the@.noise floor. Budget: overhead%% <= 10 for \
-     the (c)-(d) checks; rows marked OI@.also pay the inbox-reversal \
-     re-run of invariant (e).@.@.";
-  let reps = match mode with `Quick -> 3 | _ -> 9 in
+(* C.CONF: the always-on checks (edge discipline + halt monotonicity)
+   must stay within the ~10% budget; order-invariant workloads
+   additionally re-run every multi-message round on the reversed inbox,
+   which deliberately doubles round work, so they are labeled and judged
+   separately *)
+let conform_table () =
   let er = Suite.erdos_renyi.Suite.build ~seed ~n:96 in
   let grid = Gen.grid 8 8 in
-  let workloads =
-    [
-      ( "leader_election/er96 OI",
-        200,
-        Some true,
-        fun conformance trace ->
-          ignore (Congest.Programs.leader_election ?conformance ?trace er) );
-      ( "bfs/er96",
-        200,
-        Some false,
-        fun conformance trace ->
-          ignore (Congest.Programs.bfs ?conformance ?trace er ~source:0) );
-      ( "weak_carve_sim/grid64",
-        2,
-        Some false,
-        fun conformance trace ->
-          ignore (Weakdiam.Distributed.carve ?conformance ?trace grid ~epsilon:0.5)
-      );
-    ]
+  let sink = Congest.Trace.sink () in
+  let rec_ = Congest.Conformance.recorder () in
+  let row name iters order_invariant g exec =
+    let inst = Congest.Conformance.instrumentor ~order_invariant rec_ g in
+    let run conformance () =
+      Congest.Trace.clear sink;
+      Congest.Conformance.clear rec_;
+      exec conformance sink
+    in
+    (name, batch iters (run None), batch iters (run (Some inst)))
   in
-  Format.fprintf fmt "%-24s %5s %10s %10s %10s %10s %10s@." "workload" "reps"
-    "traced(s)" "verified" "traced2(s)" "overhead%" "floor%";
-  let rows =
-    List.map
-      (fun (name, iters, order_invariant, exec) ->
-        let sink = Congest.Trace.sink () in
-        let rec_ = Congest.Conformance.recorder () in
-        let g = if name = "weak_carve_sim/grid64" then grid else er in
-        let inst =
-          Congest.Conformance.instrumentor ?order_invariant rec_ g
-        in
-        let batch verified () =
-          for _ = 1 to iters do
-            Congest.Trace.clear sink;
-            Congest.Conformance.clear rec_;
-            exec (if verified then Some inst else None) (Some sink)
-          done
-        in
-        batch true ();
-        batch false ();
-        let off = median_seconds ~reps (batch false) in
-        let on = median_seconds ~reps (batch true) in
-        let off2 = median_seconds ~reps (batch false) in
-        let pct a b = 100.0 *. (a -. b) /. Float.max b 1e-9 in
-        let overhead = pct on off and floor = pct off2 off in
-        Format.fprintf fmt "%-24s %5d %10.4f %10.4f %10.4f %10.2f %10.2f@."
-          name reps off on off2 overhead floor;
-        (name, reps, off, on, off2, overhead, floor))
-      workloads
-  in
-  Format.pp_print_flush fmt ();
-  rows
+  {
+    title =
+      "C.CONF -- wall-clock overhead of conformance instrumentation over \
+       tracing alone";
+    blurb =
+      "Both columns attach a sink; 'verified' additionally wraps the \
+       program in\n\
+       Congest.Conformance.instrument. traced2 re-runs the tracing-only \
+       batch as the\n\
+       noise floor. Budget: overhead% <= 10 for the (c)-(d) checks; rows \
+       marked OI\n\
+       also pay the inbox-reversal re-run of invariant (e).";
+    labels = ("traced", "verified");
+    csv = "conform_overhead.csv";
+    reps = (if quick then 3 else 9);
+    rows =
+      [
+        row "leader_election/er96 OI" 200 true er (fun conformance sink ->
+            ignore
+              (Congest.Programs.leader_election ?conformance ~trace:sink er));
+        row "bfs/er96" 200 false er (fun conformance sink ->
+            ignore (Congest.Programs.bfs ?conformance ~trace:sink er ~source:0));
+        row "weak_carve_sim/grid64" 2 false grid (fun conformance ->
+            weak_carve_sim ?conformance grid);
+      ];
+  }
 
 (* sample artifacts so a bench run leaves an inspectable event stream *)
 let trace_artifacts () =
-  let grid = Gen.grid 8 8 in
   let sink = Congest.Trace.sink () in
-  ignore (Weakdiam.Distributed.carve ~trace:sink grid ~epsilon:0.5);
+  weak_carve_sim (Gen.grid 8 8) sink;
   let jsonl =
     Congest.Trace.save ~file:"trace_weak_carve_grid64.jsonl" sink
   in
@@ -980,64 +915,11 @@ let trace_artifacts () =
     (Congest.Trace.length sink);
   List.iter (Format.fprintf fmt "sample metrics -> %s@.") files
 
-let run_trace_only () =
-  let t0 = Unix.gettimeofday () in
-  let rows = trace_experiment () in
-  let span_rows = span_overhead_experiment () in
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let dump file header rows =
-       let oc = open_out (Filename.concat dir file) in
-       output_string oc header;
-       List.iter
-         (fun (name, reps, off, on, off2, overhead, floor) ->
-           output_string oc
-             (Printf.sprintf "%s,%d,%.6f,%.6f,%.6f,%.3f,%.3f\n" name reps off
-                on off2 overhead floor))
-         rows;
-       close_out oc
-     in
-     dump "trace_overhead.csv"
-       "workload,reps,off_seconds,on_seconds,off2_seconds,overhead_pct,floor_pct\n"
-       rows;
-     dump "span_overhead.csv"
-       "workload,reps,trace_seconds,spans_seconds,trace2_seconds,overhead_pct,floor_pct\n"
-       span_rows;
-     trace_artifacts ();
-     Format.fprintf fmt
-       "@.CSV dumps written to bench_results/{trace,span}_overhead.csv@."
-   with Sys_error e -> Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
-
-let run_conform_only () =
-  let t0 = Unix.gettimeofday () in
-  let rows = conform_overhead_experiment () in
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let oc = open_out (Filename.concat dir "conform_overhead.csv") in
-     output_string oc
-       "workload,reps,traced_seconds,verified_seconds,traced2_seconds,overhead_pct,floor_pct\n";
-     List.iter
-       (fun (name, reps, off, on, off2, overhead, floor) ->
-         output_string oc
-           (Printf.sprintf "%s,%d,%.6f,%.6f,%.6f,%.3f,%.3f\n" name reps off
-              on off2 overhead floor))
-       rows;
-     close_out oc;
-     Format.fprintf fmt
-       "@.CSV dump written to bench_results/conform_overhead.csv@."
-   with Sys_error e -> Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
-
 (* A.CAUSAL: replay cost of the happens-before analyzer, relative to the
    traced run that produced the event stream. Analysis is a pure
    consumer (two Trace.iter passes plus the span replay), so the budget
    is a fraction of the run itself: analyze <= 10% of run. *)
-let causal_experiment () =
+let run_causal () =
   section
     "A.CAUSAL -- replay cost of the causal critical-path analyzer over \
      the traced run";
@@ -1045,46 +927,31 @@ let causal_experiment () =
     "'run' executes the workload with a sink attached; 'analyze' replays \
      the recorded@.stream (Causal.analyze + span_breakdown) without \
      re-running anything. Budget:@.overhead%% = analyze / run <= 10.@.@.";
-  let reps = match mode with `Quick -> 3 | _ -> 9 in
-  let grid = Gen.grid 8 8 in
-  let grid256 = Gen.grid 16 16 in
-  let workloads =
-    [
-      ( "weak_carve_sim/grid64",
-        2,
-        fun sink ->
-          ignore (Weakdiam.Distributed.carve ~trace:sink grid ~epsilon:0.5) );
-      ( "thm2.3/grid256",
-        2,
-        fun sink ->
-          let cost = Congest.Cost.create ~trace:sink () in
-          ignore (Strongdecomp.Netdecomp.strong ~cost grid256) );
-    ]
-  in
+  let reps = if quick then 3 else 9 in
+  let plan = { Workload.Stats.warmup = 0; samples = reps; settle = true } in
+  let median f = (snd (Workload.Stats.measure ~plan f)).Workload.Stats.median in
   Format.fprintf fmt "%-24s %5s %10s %10s %10s %16s@." "workload" "reps"
     "run(s)" "analyze(s)" "overhead%" "critical/rounds";
-  let rows =
+  let lines =
     List.map
-      (fun (name, iters, exec) ->
+      (fun (name, exec) ->
         let sink = Congest.Trace.sink () in
-        let run_batch () =
-          for _ = 1 to iters do
-            Congest.Trace.clear sink;
-            exec sink
-          done
+        let run_batch =
+          batch 2 (fun () ->
+              Congest.Trace.clear sink;
+              exec sink)
         in
-        let analyze_batch () =
-          for _ = 1 to iters do
-            let t = Congest.Causal.analyze sink in
-            ignore (Congest.Causal.span_breakdown sink t)
-          done
+        let analyze_batch =
+          batch 2 (fun () ->
+              let t = Congest.Causal.analyze sink in
+              ignore (Congest.Causal.span_breakdown sink t))
         in
         (* warm-up also leaves the sink holding one full run's stream
            for the analyze batches to replay *)
         run_batch ();
         analyze_batch ();
-        let run_s = median_seconds ~reps run_batch in
-        let analyze_s = median_seconds ~reps analyze_batch in
+        let run_s = median run_batch in
+        let analyze_s = median analyze_batch in
         let overhead = 100.0 *. analyze_s /. Float.max run_s 1e-9 in
         let t = Congest.Causal.analyze sink in
         Format.fprintf fmt "%-24s %5d %10.4f %10.4f %10.2f %16s@." name reps
@@ -1092,39 +959,17 @@ let causal_experiment () =
           (Printf.sprintf "%d/%d%s" t.Congest.Causal.critical_rounds
              t.Congest.Causal.rounds
              (if t.Congest.Causal.exact then "" else " ~"));
-        ( name,
-          reps,
-          run_s,
-          analyze_s,
-          overhead,
-          t.Congest.Causal.critical_rounds,
-          t.Congest.Causal.rounds ))
-      workloads
+        Printf.sprintf "%s,%d,%.6f,%.6f,%.3f,%d,%d" name reps run_s analyze_s
+          overhead t.Congest.Causal.critical_rounds t.Congest.Causal.rounds)
+      [
+        ("weak_carve_sim/grid64", weak_carve_sim (Gen.grid 8 8));
+        ("thm2.3/grid256", thm23 (Gen.grid 16 16));
+      ]
   in
-  Format.pp_print_flush fmt ();
-  rows
-
-let run_causal_only () =
-  let t0 = Unix.gettimeofday () in
-  let rows = causal_experiment () in
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let oc = open_out (Filename.concat dir "causal_overhead.csv") in
-     output_string oc
-       "workload,reps,run_seconds,analyze_seconds,overhead_pct,critical_rounds,rounds\n";
-     List.iter
-       (fun (name, reps, run_s, analyze_s, overhead, critical, rounds) ->
-         output_string oc
-           (Printf.sprintf "%s,%d,%.6f,%.6f,%.3f,%d,%d\n" name reps run_s
-              analyze_s overhead critical rounds))
-       rows;
-     close_out oc;
-     Format.fprintf fmt
-       "@.CSV dump written to bench_results/causal_overhead.csv@."
-   with Sys_error e -> Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
+  write_csv ~file:"causal_overhead.csv"
+    ~header:
+      "workload,reps,run_seconds,analyze_seconds,overhead_pct,critical_rounds,rounds"
+    lines
 
 (* ------------------------------------------------------------------ *)
 (* B.CHAOS: seeded chaos sweep + repair-cost headline                    *)
@@ -1181,14 +1026,8 @@ let repair_trial ~trial =
   let scratch_seconds = Unix.gettimeofday () -. t0 in
   (rep, !region_edges, scratch_seconds)
 
-let median3 a b c =
-  match List.sort compare [ a; b; c ] with
-  | [ _; m; _ ] -> m
-  | _ -> assert false
-
 let run_chaos_only () =
-  let t0 = Unix.gettimeofday () in
-  let count = if chaos_quick then 25 else 200 in
+  let count = if quick then 25 else 200 in
   section
     (Printf.sprintf
        "B.CHAOS -- %d seeded fault schedules through detect -> repair -> \
@@ -1255,9 +1094,9 @@ let run_chaos_only () =
   section
     "B.REPAIR -- grid256/greedy single-crash headline (median of 3 trials)";
   let trials = List.map (fun t -> (t, repair_trial ~trial:t)) [ 1; 2; 3 ] in
-  let med f = match trials with
-    | [ (_, a); (_, b); (_, c) ] -> median3 (f a) (f b) (f c)
-    | _ -> assert false
+  let med f =
+    (Workload.Stats.summarize (List.map (fun (_, t) -> f t) trials))
+      .Workload.Stats.median
   in
   let med_repair = med (fun (rep, _, _) -> rep.Repair.seconds) in
   let med_scratch = med (fun (_, _, s) -> s) in
@@ -1270,37 +1109,24 @@ let run_chaos_only () =
   let headline_ok = med_touched <= 0.25 && ratio <= 0.50 in
   Format.fprintf fmt "headline: %s@."
     (if headline_ok then "PASS" else "FAIL");
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let write name contents =
-       let oc = open_out (Filename.concat dir name) in
-       output_string oc contents;
-       close_out oc
-     in
-     write "chaos.csv" (Chaos.csv rows);
-     let buf = Buffer.create 512 in
-     Buffer.add_string buf
-       "workload,trial,dirty,carried,fresh,touched,touched_fraction,region_edges,repair_seconds,scratch_seconds,cost_ratio\n";
-     List.iter
+  write_result "chaos.csv" (Chaos.csv rows);
+  write_csv ~file:"repair_cost.csv"
+    ~header:
+      "workload,trial,dirty,carried,fresh,touched,touched_fraction,region_edges,repair_seconds,scratch_seconds,cost_ratio"
+    (List.map
        (fun (t, (rep, edges, scratch_s)) ->
-         Buffer.add_string buf
-           (Printf.sprintf "repair/greedy_grid256,%d,%d,%d,%d,%d,%.4f,%d,%.6f,%.6f,%.3f\n"
-              t rep.Repair.dirty_clusters rep.Repair.carried_clusters
-              rep.Repair.fresh_clusters rep.Repair.touched_nodes
-              rep.Repair.touched_fraction edges rep.Repair.seconds scratch_s
-              (rep.Repair.seconds /. Float.max 1e-9 scratch_s)))
-       trials;
-     Buffer.add_string buf
-       (Printf.sprintf "repair/greedy_grid256,median,,,,,%.4f,,%.6f,%.6f,%.3f\n"
-          med_touched med_repair med_scratch ratio);
-     write "repair_cost.csv" (Buffer.contents buf);
-     Format.fprintf fmt
-       "@.CSV dumps written to %s/chaos.csv and %s/repair_cost.csv@." dir dir
-   with Sys_error e -> Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0);
-  if failures <> [] || not headline_ok then exit 1
+         Printf.sprintf
+           "repair/greedy_grid256,%d,%d,%d,%d,%d,%.4f,%d,%.6f,%.6f,%.3f" t
+           rep.Repair.dirty_clusters rep.Repair.carried_clusters
+           rep.Repair.fresh_clusters rep.Repair.touched_nodes
+           rep.Repair.touched_fraction edges rep.Repair.seconds scratch_s
+           (rep.Repair.seconds /. Float.max 1e-9 scratch_s))
+       trials
+    @ [
+        Printf.sprintf "repair/greedy_grid256,median,,,,,%.4f,,%.6f,%.6f,%.3f"
+          med_touched med_repair med_scratch ratio;
+      ]);
+  failures = [] && headline_ok
 
 (* ------------------------------------------------------------------ *)
 (* B.RECORD: persistent headline-metrics time series                     *)
@@ -1440,7 +1266,6 @@ let compare_snapshots ~old_line ~new_line =
 let fingerprint = lazy (Workload.Stats.current_fingerprint ())
 
 let run_record_only () =
-  let t0 = Unix.gettimeofday () in
   section
     "B.RECORD -- headline-metrics snapshot appended to BENCH_trajectory.json";
   let entries = record_entries () in
@@ -1472,9 +1297,7 @@ let run_record_only () =
       if compare_snapshots ~old_line:last ~new_line:line = 0 then
         Format.fprintf fmt "no significant regressions vs the previous \
                             snapshot@."
-  | [] -> Format.fprintf fmt "first snapshot -- nothing to compare against@.");
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
+  | [] -> Format.fprintf fmt "first snapshot -- nothing to compare against@.")
 
 (* ------------------------------------------------------------------ *)
 (* B.DASHBOARD: the trajectory rendered as a self-contained HTML page   *)
@@ -1499,16 +1322,14 @@ let scale_n = 1 lsl 20
 let scale_samples = 20_000_000
 
 let run_scale_only () =
-  let t0 = Unix.gettimeofday () in
   section
     (Printf.sprintf
        "B.SCALE -- RMAT n=%d, %d edge samples: generate -> save -> \
         mmap-load -> decompose -> audit"
        scale_n scale_samples);
-  let dir = "bench_results" in
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  let csr_path = Filename.concat dir "rmat1M.csr" in
-  let spill_path = Filename.concat dir "rmat1M.trace" in
+  if not (Sys.file_exists results_dir) then Sys.mkdir results_dir 0o755;
+  let csr_path = Filename.concat results_dir "rmat1M.csr" in
+  let spill_path = Filename.concat results_dir "rmat1M.trace" in
   (* the ~90 s pipeline used to run completely dark: a process-lifetime
      recorder now pulses phase/elapsed/peak-heap to stderr per stage *)
   let res = Resource.create () in
@@ -1583,11 +1404,10 @@ let run_scale_only () =
   (match List.rev prev with
   | last :: _ -> ignore (compare_snapshots ~old_line:last ~new_line:line)
   | [] -> ());
-  let oc = open_out (Filename.concat dir "scale.csv") in
-  output_string oc "metric,value\n";
-  List.iter
-    (fun (k, v) -> output_string oc (Printf.sprintf "%s,%s\n" k v))
-    [
+  write_csv ~file:"scale.csv" ~header:"metric,value"
+    (List.map
+       (fun (k, v) -> k ^ "," ^ v)
+       [
       ("n", string_of_int (Graph.n g));
       ("m", string_of_int (Graph.m g));
       ("colors", string_of_int colors);
@@ -1602,16 +1422,12 @@ let run_scale_only () =
       ("decompose_seconds", Printf.sprintf "%.3f" dec_s);
       ("certify_seconds", Printf.sprintf "%.3f" cert_s);
       ("verify_seconds", Printf.sprintf "%.3f" verify_s);
-    ];
-  close_out oc;
-  Format.fprintf fmt "CSV dump written to %s/scale.csv@." dir;
+       ]);
   (* the spill and the 170 MB graph image are scratch, not artifacts *)
   Congest.Trace.clear sink;
   if Sys.file_exists csr_path then Sys.remove csr_path;
   Resource.heartbeat res "done";
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0);
-  if verdict <> Ok () then exit 1
+  verdict = Ok ()
 
 (* ------------------------------------------------------------------ *)
 (* B.ANALYZE: whole-tree static analysis wall-clock                     *)
@@ -1684,13 +1500,9 @@ let run_analyze_only () =
     (match List.rev prev with
     | last :: _ -> ignore (compare_snapshots ~old_line:last ~new_line:line)
     | [] -> ());
-    (try
-       let dir = "bench_results" in
-       if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-       let oc = open_out (Filename.concat dir "analyze.csv") in
-       output_string oc "metric,value\n";
-       List.iter
-         (fun (k, v) -> output_string oc (Printf.sprintf "%s,%s\n" k v))
+    write_csv ~file:"analyze.csv" ~header:"metric,value"
+      (List.map
+         (fun (k, v) -> k ^ "," ^ v)
          [
            ("cmts", string_of_int cmts);
            ("units", string_of_int result.Analyze_core.r_units);
@@ -1701,70 +1513,15 @@ let run_analyze_only () =
              string_of_int (List.length result.Analyze_core.r_hots) );
            ("findings", string_of_int findings);
            ("seconds", Printf.sprintf "%.3f" seconds);
-         ];
-       close_out oc;
-       Format.fprintf fmt "CSV dump written to bench_results/analyze.csv@."
-     with Sys_error e -> Format.fprintf fmt "(skipping CSV dump: %s)@." e)
-  end;
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
+         ])
+  end
 
 (* ------------------------------------------------------------------ *)
 
 let run_faults_only () =
-  let t0 = Unix.gettimeofday () in
-  let rows = faults_experiment () in
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let oc = open_out (Filename.concat dir "faults.csv") in
-     output_string oc (Workload.Faults.csv rows);
-     close_out oc;
-     Format.fprintf fmt "@.CSV dump written to %s/faults.csv@." dir
-   with Sys_error e -> Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
-  Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
+  write_result "faults.csv" (Workload.Faults.csv (faults_experiment ()))
 
-let () =
-  Format.fprintf fmt
-    "strongdecomp benchmark harness -- reproduction of Chang & Ghaffari, \
-     PODC 2021@.mode: %s (pass 'full' for the n=16384 sweep, 'quick' for a \
-     smoke test,@.'faults' for the graceful-degradation sweep only, 'trace' \
-     for the observability@.overhead experiments only, 'conform' for the \
-     verifier-overhead experiment@.only, 'causal' for the critical-path \
-     analyzer replay cost, 'chaos' for the@.self-healing sweep and the \
-     repair-cost headline ('chaos quick' for a smoke),@.'record' to append \
-     a headline snapshot to the persistent BENCH_trajectory.json,@.'scale' \
-     for the million-node CSR end-to-end smoke, 'resource' for the@.resource-\
-     recorder overhead experiment, 'analyze' for the whole-tree@.static-\
-     analysis timing, 'dashboard' to render BENCH_trajectory.json to@.\
-     BENCH_dashboard.html)@."
-    (match mode with
-    | `Quick -> "quick"
-    | `Standard -> "standard"
-    | `Full -> "full"
-    | `Faults -> "faults"
-    | `Trace -> "trace"
-    | `Conform -> "conform"
-    | `Causal -> "causal"
-    | `Chaos -> if chaos_quick then "chaos (quick)" else "chaos"
-    | `Record -> "record"
-    | `Scale -> "scale"
-    | `Resource -> "resource"
-    | `Analyze -> "analyze"
-    | `Dashboard -> "dashboard");
-  if mode = `Faults then run_faults_only ()
-  else if mode = `Trace then run_trace_only ()
-  else if mode = `Conform then run_conform_only ()
-  else if mode = `Causal then run_causal_only ()
-  else if mode = `Chaos then run_chaos_only ()
-  else if mode = `Record then run_record_only ()
-  else if mode = `Scale then run_scale_only ()
-  else if mode = `Resource then run_resource_only ()
-  else if mode = `Analyze then run_analyze_only ()
-  else if mode = `Dashboard then run_dashboard_only ()
-  else begin
-  let t0 = Unix.gettimeofday () in
+let run_standard () =
   let rows1 = table1 () in
   headline rows1;
   let rows2 = table2 () in
@@ -1779,19 +1536,60 @@ let () =
   ablation_colors_vs_eps ();
   ablation_apps_extra ();
   bechamel_suite ();
-  (try
-     let dir = "bench_results" in
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-     let write name contents =
-       let oc = open_out (Filename.concat dir name) in
-       output_string oc contents;
-       close_out oc
-     in
-     write "table1.csv" (Workload.Measure.decomp_csv rows1);
-     write "table2.csv" (Workload.Measure.carve_csv rows2);
-     Format.fprintf fmt "@.CSV dumps written to %s/@." dir
-   with Sys_error e ->
-     Format.fprintf fmt "@.(skipping CSV dump: %s)@." e);
+  write_result "table1.csv" (Workload.Measure.decomp_csv rows1);
+  write_result "table2.csv" (Workload.Measure.carve_csv rows2)
+
+(* every mode but chaos and scale always succeeds; those two exit 1 on
+   an invariant violation, a missed headline or a failed audit *)
+let () =
+  Format.fprintf fmt
+    "strongdecomp benchmark harness -- reproduction of Chang & Ghaffari, \
+     PODC 2021@.mode: %s (pass 'full' for the n=16384 sweep, 'quick' for a \
+     smoke test,@.'faults' for the graceful-degradation sweep only, 'trace' \
+     for the observability@.overhead experiments only, 'conform' for the \
+     verifier-overhead experiment@.only, 'causal' for the critical-path \
+     analyzer replay cost, 'chaos' for the@.self-healing sweep and the \
+     repair-cost headline, 'record' to append@.a headline snapshot to the \
+     persistent BENCH_trajectory.json, 'scale'@.for the million-node CSR \
+     end-to-end smoke, 'resource' for the@.resource-recorder overhead \
+     experiment, 'analyze' for the whole-tree@.static-analysis timing, \
+     'dashboard' to render BENCH_trajectory.json to@.BENCH_dashboard.html; \
+     a second word 'quick' shrinks trace, conform,@.causal, resource and \
+     chaos to smoke size)@."
+    ((match mode with
+     | `Quick -> "quick"
+     | `Standard -> "standard"
+     | `Full -> "full"
+     | `Faults -> "faults"
+     | `Trace -> "trace"
+     | `Conform -> "conform"
+     | `Causal -> "causal"
+     | `Chaos -> "chaos"
+     | `Record -> "record"
+     | `Scale -> "scale"
+     | `Resource -> "resource"
+     | `Analyze -> "analyze"
+     | `Dashboard -> "dashboard")
+    ^ if quick then " (quick)" else "");
+  let t0 = Unix.gettimeofday () in
+  let ok =
+    match mode with
+    | `Chaos -> run_chaos_only ()
+    | `Scale -> run_scale_only ()
+    | `Faults -> run_faults_only (); true
+    | `Trace ->
+        run_overhead (trace_table ());
+        run_overhead (span_table ());
+        trace_artifacts ();
+        true
+    | `Conform -> run_overhead (conform_table ()); true
+    | `Causal -> run_causal (); true
+    | `Record -> run_record_only (); true
+    | `Resource -> run_overhead (resource_table ()); true
+    | `Analyze -> run_analyze_only (); true
+    | `Dashboard -> run_dashboard_only (); true
+    | `Quick | `Standard | `Full -> run_standard (); true
+  in
   Format.fprintf fmt "@.total benchmark time: %.1f s@."
-    (Unix.gettimeofday () -. t0)
-  end
+    (Unix.gettimeofday () -. t0);
+  if not ok then exit 1

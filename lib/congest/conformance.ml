@@ -30,32 +30,17 @@ let pp_report fmt r =
   if r.violations_dropped > 0 then
     Format.fprintf fmt "  (%d more violations dropped)@." r.violations_dropped
 
-(* minimal JSON string escaping: the strings we emit are ASCII *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let report_to_json r =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
-    (Printf.sprintf "{\"label\":\"%s\",\"ok\":%b,\"checks\":["
-       (json_escape r.label) (ok r));
+    (Printf.sprintf "{\"label\":%s,\"ok\":%b,\"checks\":["
+       (Json.quote r.label) (ok r));
   List.iteri
     (fun i c ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"passed\":%b,\"detail\":\"%s\"}"
-           (json_escape c.name) c.passed (json_escape c.detail)))
+        (Printf.sprintf "{\"name\":%s,\"passed\":%b,\"detail\":%s}"
+           (Json.quote c.name) c.passed (Json.quote c.detail)))
     r.checks;
   Buffer.add_string buf "],\"violations\":[";
   List.iteri
@@ -63,8 +48,8 @@ let report_to_json r =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"invariant\":\"%s\",\"node\":%d,\"step\":%d,\"detail\":\"%s\"}"
-           (json_escape v.invariant) v.node v.step (json_escape v.detail)))
+           "{\"invariant\":%s,\"node\":%d,\"step\":%d,\"detail\":%s}"
+           (Json.quote v.invariant) v.node v.step (Json.quote v.detail)))
     r.violations;
   Buffer.add_string buf
     (Printf.sprintf "],\"violations_dropped\":%d}" r.violations_dropped);

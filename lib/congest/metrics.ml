@@ -224,12 +224,13 @@ let to_jsonl t =
       (match Hashtbl.find t.tbl name with
       | Counter c ->
           Buffer.add_string b
-            (Printf.sprintf {|{"metric":"%s","kind":"counter","value":%d}|}
-               name c.count)
+            (Printf.sprintf {|{"metric":%s,"kind":"counter","value":%d}|}
+               (Json.quote name) c.count)
       | Gauge g ->
           Buffer.add_string b
             (Printf.sprintf
-               {|{"metric":"%s","kind":"gauge","value":%s,"max":%s}|} name
+               {|{"metric":%s,"kind":"gauge","value":%s,"max":%s}|}
+               (Json.quote name)
                (float_str g.last)
                (float_str (gauge_max g)))
       | Histogram h ->
@@ -241,8 +242,8 @@ let to_jsonl t =
           in
           Buffer.add_string b
             (Printf.sprintf
-               {|{"metric":"%s","kind":"histogram","count":%d,"sum":%d,"min":%d,"max":%d,"buckets":[%s]}|}
-               name h.n_obs h.total
+               {|{"metric":%s,"kind":"histogram","count":%d,"sum":%d,"min":%d,"max":%d,"buckets":[%s]}|}
+               (Json.quote name) h.n_obs h.total
                (if h.n_obs = 0 then 0 else h.h_min)
                (if h.n_obs = 0 then 0 else h.h_max)
                buckets));

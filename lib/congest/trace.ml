@@ -479,22 +479,6 @@ let pp_event ppf = function
   | Span_enter { path } -> Format.fprintf ppf "span enter %s" path
   | Span_exit { path } -> Format.fprintf ppf "span exit %s" path
 
-(* hand-rolled JSONL: no JSON library in the dependency set, and the
-   emitted shapes are flat objects of ints plus one escaped string *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let event_to_jsonl = function
   | Round_start { round } ->
       Printf.sprintf {|{"ev":"round_start","round":%d}|} round
@@ -532,110 +516,56 @@ let event_to_jsonl = function
         node bits
   | Cost_charged { tag; rounds; messages; max_bits } ->
       Printf.sprintf
-        {|{"ev":"cost_charged","tag":"%s","rounds":%d,"messages":%d,"max_bits":%d}|}
-        (escape tag) rounds messages max_bits
+        {|{"ev":"cost_charged","tag":%s,"rounds":%d,"messages":%d,"max_bits":%d}|}
+        (Json.quote tag) rounds messages max_bits
   | Span_enter { path } ->
-      Printf.sprintf {|{"ev":"span_enter","path":"%s"}|} (escape path)
+      Printf.sprintf {|{"ev":"span_enter","path":%s}|} (Json.quote path)
   | Span_exit { path } ->
-      Printf.sprintf {|{"ev":"span_exit","path":"%s"}|} (escape path)
-
-(* minimal field extraction matching the printer above; tolerant of
-   whitespace after ':' so externally pretty-printed lines also parse *)
-
-let find_key line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let plen = String.length pat and llen = String.length line in
-  let rec go i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else go (i + 1)
-  in
-  go 0
-
-let skip_ws line i =
-  let j = ref i in
-  while !j < String.length line && (line.[!j] = ' ' || line.[!j] = '\t') do
-    incr j
-  done;
-  !j
-
-let field_int line key =
-  match find_key line key with
-  | None -> Error (Printf.sprintf "missing int field %S in %s" key line)
-  | Some i ->
-      let i = skip_ws line i in
-      let j = ref i in
-      if !j < String.length line && line.[!j] = '-' then incr j;
-      let digits = ref 0 in
-      while
-        !j < String.length line && line.[!j] >= '0' && line.[!j] <= '9'
-      do
-        incr j;
-        incr digits
-      done;
-      if !digits = 0 then
-        Error (Printf.sprintf "field %S is not an int in %s" key line)
-      else Ok (int_of_string (String.sub line i (!j - i)))
-
-let field_string line key =
-  match find_key line key with
-  | None -> Error (Printf.sprintf "missing string field %S in %s" key line)
-  | Some i ->
-      let i = skip_ws line i in
-      if i >= String.length line || line.[i] <> '"' then
-        Error (Printf.sprintf "field %S is not a string in %s" key line)
-      else begin
-        let b = Buffer.create 16 in
-        let j = ref (i + 1) in
-        let closed = ref false in
-        while (not !closed) && !j < String.length line do
-          (match line.[!j] with
-          | '\\' when !j + 1 < String.length line ->
-              incr j;
-              Buffer.add_char b
-                (match line.[!j] with
-                | 'n' -> '\n'
-                | 't' -> '\t'
-                | c -> c)
-          | '"' -> closed := true
-          | c -> Buffer.add_char b c);
-          incr j
-        done;
-        if !closed then Ok (Buffer.contents b)
-        else Error (Printf.sprintf "unterminated string %S in %s" key line)
-      end
+      Printf.sprintf {|{"ev":"span_exit","path":%s}|} (Json.quote path)
 
 let ( let* ) r f = Result.bind r f
 
 let event_of_jsonl line =
-  let* ev = field_string line "ev" in
+  let* obj =
+    Result.map_error (fun e -> Printf.sprintf "%s in %s" e line)
+      (Json.of_string line)
+  in
+  let field conv what key =
+    match Option.map conv (Json.member key obj) with
+    | Some (Some x) -> Ok x
+    | Some None -> Error (Printf.sprintf "field %S is not %s in %s" key what line)
+    | None -> Error (Printf.sprintf "missing field %S in %s" key line)
+  in
+  let field_int = field Json.to_int_opt "an int"
+  and field_string = field Json.to_string_opt "a string" in
+  let* ev = field_string "ev" in
   match ev with
   | "round_start" ->
-      let* round = field_int line "round" in
+      let* round = field_int "round" in
       Ok (Round_start { round })
   | "round_end" ->
-      let* round = field_int line "round" in
-      let* sent = field_int line "sent" in
-      let* delivered = field_int line "delivered" in
-      let* in_flight = field_int line "in_flight" in
-      let* halted = field_int line "halted" in
+      let* round = field_int "round" in
+      let* sent = field_int "sent" in
+      let* delivered = field_int "delivered" in
+      let* in_flight = field_int "in_flight" in
+      let* halted = field_int "halted" in
       Ok (Round_end { round; sent; delivered; in_flight; halted })
   | "message_sent" ->
-      let* round = field_int line "round" in
-      let* src = field_int line "src" in
-      let* dst = field_int line "dst" in
-      let* bits = field_int line "bits" in
+      let* round = field_int "round" in
+      let* src = field_int "src" in
+      let* dst = field_int "dst" in
+      let* bits = field_int "bits" in
       Ok (Message_sent { round; src; dst; bits })
   | "message_delivered" ->
-      let* round = field_int line "round" in
-      let* src = field_int line "src" in
-      let* dst = field_int line "dst" in
+      let* round = field_int "round" in
+      let* src = field_int "src" in
+      let* dst = field_int "dst" in
       Ok (Message_delivered { round; src; dst })
   | "message_dropped" ->
-      let* round = field_int line "round" in
-      let* src = field_int line "src" in
-      let* dst = field_int line "dst" in
-      let* reason = field_string line "reason" in
+      let* round = field_int "round" in
+      let* src = field_int "src" in
+      let* dst = field_int "dst" in
+      let* reason = field_string "reason" in
       let* reason =
         match reason with
         | "adversary" -> Ok Adversary
@@ -644,41 +574,41 @@ let event_of_jsonl line =
       in
       Ok (Message_dropped { round; src; dst; reason })
   | "message_duplicated" ->
-      let* round = field_int line "round" in
-      let* src = field_int line "src" in
-      let* dst = field_int line "dst" in
-      let* copy_delay = field_int line "copy_delay" in
+      let* round = field_int "round" in
+      let* src = field_int "src" in
+      let* dst = field_int "dst" in
+      let* copy_delay = field_int "copy_delay" in
       Ok (Message_duplicated { round; src; dst; copy_delay })
   | "message_delayed" ->
-      let* round = field_int line "round" in
-      let* src = field_int line "src" in
-      let* dst = field_int line "dst" in
-      let* delay = field_int line "delay" in
+      let* round = field_int "round" in
+      let* src = field_int "src" in
+      let* dst = field_int "dst" in
+      let* delay = field_int "delay" in
       Ok (Message_delayed { round; src; dst; delay })
   | "node_halted" ->
-      let* round = field_int line "round" in
-      let* node = field_int line "node" in
+      let* round = field_int "round" in
+      let* node = field_int "node" in
       Ok (Node_halted { round; node })
   | "node_crashed" ->
-      let* round = field_int line "round" in
-      let* node = field_int line "node" in
+      let* round = field_int "round" in
+      let* node = field_int "node" in
       Ok (Node_crashed { round; node })
   | "bandwidth_high_water" ->
-      let* round = field_int line "round" in
-      let* node = field_int line "node" in
-      let* bits = field_int line "bits" in
+      let* round = field_int "round" in
+      let* node = field_int "node" in
+      let* bits = field_int "bits" in
       Ok (Bandwidth_high_water { round; node; bits })
   | "cost_charged" ->
-      let* tag = field_string line "tag" in
-      let* rounds = field_int line "rounds" in
-      let* messages = field_int line "messages" in
-      let* max_bits = field_int line "max_bits" in
+      let* tag = field_string "tag" in
+      let* rounds = field_int "rounds" in
+      let* messages = field_int "messages" in
+      let* max_bits = field_int "max_bits" in
       Ok (Cost_charged { tag; rounds; messages; max_bits })
   | "span_enter" ->
-      let* path = field_string line "path" in
+      let* path = field_string "path" in
       Ok (Span_enter { path })
   | "span_exit" ->
-      let* path = field_string line "path" in
+      let* path = field_string "path" in
       Ok (Span_exit { path })
   | ev -> Error (Printf.sprintf "unknown event kind %S" ev)
 

@@ -13,9 +13,9 @@
     [stats.faults.dropped], and [Round_start] events equal
     [stats.rounds_used] (test/test_trace.ml asserts exactly this).
 
-    The JSONL emitters are hand-rolled (no JSON dependency): one object
-    per line with a fixed field order, parseable by {!event_of_jsonl}
-    and by any standard JSON reader. *)
+    The JSONL emitters print one object per line with a fixed field
+    order, strings quoted by {!Json.quote}; {!event_of_jsonl} reads them
+    back through {!Json.of_string}, as can any standard JSON reader. *)
 
 type drop_reason =
   | Adversary  (** iid or burst loss injected by {!Fault.fate} *)

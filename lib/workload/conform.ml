@@ -269,8 +269,8 @@ let to_json rows =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"target\":\"%s\",\"family\":\"%s\",\"n\":%d,\"adversarial\":%b,\"seconds\":%.4f,\"report\":%s}"
-           r.target r.family r.n r.adversarial r.seconds
+           "{\"target\":%s,\"family\":%s,\"n\":%d,\"adversarial\":%b,\"seconds\":%.4f,\"report\":%s}"
+           (Json.quote r.target) (Json.quote r.family) r.n r.adversarial r.seconds
            (Conformance.report_to_json r.report)))
     rows;
   Buffer.add_char buf ']';

@@ -176,32 +176,35 @@ let sparkline buf ~series ~fp_changes ~flagged ~times =
 let render ?(title = "Benchmark trajectory") lines =
   let snaps = Array.of_list lines in
   let n_snaps = Array.length snaps in
-  let objs = Array.map Trajectory.workload_objs snaps in
-  let fps = Array.map Trajectory.fingerprint_of_line snaps in
-  let times =
+  let parsed =
     Array.map
-      (fun line -> Option.value (Trajectory.num_field "time" line) ~default:0.0)
+      (fun line ->
+        Result.value
+          (Trajectory.snapshot_of_line line)
+          ~default:Trajectory.empty_snapshot)
       snaps
   in
+  let fps = Array.map (fun s -> s.Trajectory.fingerprint) parsed in
+  let times = Array.map (fun s -> s.Trajectory.time) parsed in
   let names =
     let seen = Hashtbl.create 16 in
     let order = ref [] in
     Array.iter
-      (List.iter (fun obj ->
-           match Trajectory.str_field "name" obj with
-           | Some name when not (Hashtbl.mem seen name) ->
-               Hashtbl.add seen name ();
-               order := name :: !order
-           | _ -> ()))
-      objs;
+      (fun s ->
+        List.iter
+          (fun (name, _) ->
+            if not (Hashtbl.mem seen name) then begin
+              Hashtbl.add seen name ();
+              order := name :: !order
+            end)
+          s.Trajectory.workloads)
+      parsed;
     List.rev !order
   in
   let value name metric i =
-    List.find_opt
-      (fun obj -> Trajectory.str_field "name" obj = Some name)
-      objs.(i)
-    |> Option.map (Trajectory.num_field metric)
-    |> Option.join
+    Option.bind
+      (List.assoc_opt name parsed.(i).Trajectory.workloads)
+      (List.assoc_opt metric)
   in
   (* regression highlights come from the same comparator the CI gate
      uses, run over each consecutive pair; incomparable pairs (the
@@ -226,7 +229,7 @@ let render ?(title = "Benchmark trajectory") lines =
       (fun i ->
         if i > 0 && fps.(i) <> fps.(i - 1) then
           let sha =
-            match Option.bind fps.(i) Stats.fingerprint_of_json with
+            match fps.(i) with
             | Some fp -> fp.Stats.git_sha
             | None -> "unknown"
           in
@@ -244,7 +247,7 @@ let render ?(title = "Benchmark trajectory") lines =
   let latest_fp =
     if n_snaps = 0 then "no snapshots"
     else
-      match Option.bind fps.(n_snaps - 1) Stats.fingerprint_of_json with
+      match fps.(n_snaps - 1) with
       | Some fp -> Format.asprintf "%a" Stats.pp_fingerprint fp
       | None -> "no fingerprint recorded"
   in

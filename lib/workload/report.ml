@@ -212,22 +212,6 @@ let to_markdown t =
 (* JSON                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = "\"" ^ json_escape s ^ "\""
 let jopt_int = function Some d -> string_of_int d | None -> "null"
 let jopt_float = function Some f -> Printf.sprintf "%.6f" f | None -> "null"
 
@@ -235,8 +219,8 @@ let to_json t =
   let buf = Buffer.create 8192 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\"report\":{";
-  add "\"algo\":%s,\"reference\":%s,\"family\":%s," (jstr t.algo)
-    (jstr t.reference) (jstr t.family);
+  add "\"algo\":%s,\"reference\":%s,\"family\":%s," (Json.quote t.algo)
+    (Json.quote t.reference) (Json.quote t.family);
   add "\"n\":%d,\"m\":%d,\"seed\":%d,\"epsilon\":%s," t.n t.m t.seed
     (jopt_float t.epsilon);
   add "\"colors\":%d,\"strong_diameter\":%s,\"weak_diameter\":%d," t.colors
@@ -270,7 +254,7 @@ let to_json t =
        (List.map
           (fun (s : Congest.Causal.span_slack) ->
             Printf.sprintf "{\"span\":%s,\"critical\":%d,\"slack\":%d}"
-              (jstr s.Congest.Causal.span_path) s.Congest.Causal.critical
+              (Json.quote s.Congest.Causal.span_path) s.Congest.Causal.critical
               s.Congest.Causal.slack)
           t.span_slack));
   add "\"rollups\":[%s],"
@@ -279,7 +263,7 @@ let to_json t =
           (fun (r : Congest.Span.rollup) ->
             Printf.sprintf
               "{\"path\":%s,\"depth\":%d,\"entries\":%d,\"rounds\":%d,\"rounds_incl\":%d,\"messages\":%d,\"messages_incl\":%d,\"bits\":%d,\"bits_incl\":%d,\"max_message_bits\":%d}"
-              (jstr r.Congest.Span.path) r.Congest.Span.depth
+              (Json.quote r.Congest.Span.path) r.Congest.Span.depth
               r.Congest.Span.entries r.Congest.Span.rounds
               r.Congest.Span.rounds_incl r.Congest.Span.messages
               r.Congest.Span.messages_incl r.Congest.Span.bits
@@ -297,7 +281,7 @@ let to_json t =
           (fun (r : Congest.Resource.rollup) ->
             Printf.sprintf
               "{\"path\":%s,\"depth\":%d,\"entries\":%d,\"seconds\":%.6f,\"seconds_incl\":%.6f,\"minor_words\":%.0f,\"minor_words_incl\":%.0f,\"major_words\":%.0f,\"major_words_incl\":%.0f,\"major_collections\":%d}"
-              (jstr r.Congest.Resource.r_path) r.Congest.Resource.r_depth
+              (Json.quote r.Congest.Resource.r_path) r.Congest.Resource.r_depth
               r.Congest.Resource.r_entries r.Congest.Resource.r_seconds
               r.Congest.Resource.r_seconds_incl
               r.Congest.Resource.r_minor_words
@@ -314,7 +298,7 @@ let to_json t =
   let a = t.audit in
   add "\"audit\":{";
   add "\"kind\":%s,\"n\":%d,\"num_colors\":%d,\"dead\":%d,\"dead_fraction\":%.6f,"
-    (jstr
+    (Json.quote
        (match a.Audit.kind with
        | Audit.Decomposition -> "decomposition"
        | Audit.Carving -> "carving"))
@@ -323,7 +307,7 @@ let to_json t =
     (Audit.max_diameter_lb a)
     (jopt_int (Audit.max_diameter_ub a));
   add "\"verdict\":%s,"
-    (jstr (match t.audit_verdict with Ok () -> "ok" | Error e -> e));
+    (Json.quote (match t.audit_verdict with Ok () -> "ok" | Error e -> e));
   add "\"certs\":[%s]}}"
     (String.concat ","
        (List.map

@@ -90,55 +90,33 @@ let current_fingerprint () =
 
 let fingerprint_json fp =
   Printf.sprintf
-    "{\"git_sha\":%S,\"ocaml_version\":%S,\"word_size\":%d,\"flambda\":%b,\"hostname\":%S}"
-    fp.git_sha fp.ocaml_version fp.word_size fp.flambda fp.hostname
+    "{\"git_sha\":%s,\"ocaml_version\":%s,\"word_size\":%d,\"flambda\":%b,\"hostname\":%s}"
+    (Json.quote fp.git_sha) (Json.quote fp.ocaml_version) fp.word_size
+    fp.flambda (Json.quote fp.hostname)
 
-let index_of_sub s pos sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go pos
-
-let jfield_str field obj =
-  match index_of_sub obj 0 ("\"" ^ field ^ "\":\"") with
-  | None -> None
-  | Some i -> (
-      let start = i + String.length field + 4 in
-      match String.index_from_opt obj start '"' with
-      | None -> None
-      | Some j -> Some (String.sub obj start (j - start)))
-
-let jfield_raw field obj =
-  match index_of_sub obj 0 ("\"" ^ field ^ "\":") with
-  | None -> None
-  | Some i ->
-      let start = i + String.length field + 3 in
-      let j = ref start in
-      let len = String.length obj in
-      while
-        !j < len && (match obj.[!j] with ',' | '}' -> false | _ -> true)
-      do
-        incr j
-      done;
-      Some (String.trim (String.sub obj start (!j - start)))
-
-let fingerprint_of_json obj =
+let fingerprint_of_value v =
+  let str k = Option.bind (Json.member k v) Json.to_string_opt in
   match
-    ( jfield_str "git_sha" obj,
-      jfield_str "ocaml_version" obj,
-      jfield_raw "word_size" obj,
-      jfield_raw "flambda" obj,
-      jfield_str "hostname" obj )
+    ( str "git_sha",
+      str "ocaml_version",
+      Option.bind (Json.member "word_size" v) Json.to_int_opt,
+      Json.member "flambda" v,
+      str "hostname" )
   with
-  | Some git_sha, Some ocaml_version, Some ws, Some fl, Some hostname -> (
-      match (int_of_string_opt ws, bool_of_string_opt fl) with
-      | Some word_size, Some flambda ->
-          Some { git_sha; ocaml_version; word_size; flambda; hostname }
-      | _ -> None)
+  | ( Some git_sha,
+      Some ocaml_version,
+      Some word_size,
+      Some (Json.Bool flambda),
+      Some hostname ) ->
+      Some { git_sha; ocaml_version; word_size; flambda; hostname }
   | _ -> None
+
+let fingerprint_of_json text =
+  match Json.of_string text with
+  | Error _ -> None
+  | Ok v ->
+      fingerprint_of_value
+        (Option.value (Json.member "fingerprint" v) ~default:v)
 
 let fingerprint_equal (a : fingerprint) b = a = b
 
@@ -190,11 +168,31 @@ let measure ?(plan = default_plan) f =
   | Some v -> (v, summarize samples)
   | None -> assert false (* samples >= 1 *)
 
-let noise_floor ?plan f =
-  let _, a = measure ?plan f in
-  let _, b = measure ?plan f in
-  if a.median <= 0.0 then 0.0
-  else Float.abs (b.median -. a.median) /. a.median
+type overhead = {
+  off : summary;
+  on : summary;
+  off2 : summary;
+  overhead_pct : float;
+  floor_pct : float;
+}
+
+let overhead ~reps ~baseline ~instrumented =
+  (* warm both variants so neither pays cold caches *)
+  ignore (instrumented ());
+  ignore (baseline ());
+  let plan = { warmup = 0; samples = reps; settle = true } in
+  let sample f = snd (measure ~plan f) in
+  let off = sample baseline in
+  let on = sample instrumented in
+  let off2 = sample baseline in
+  let pct a b = 100.0 *. (a -. b) /. Float.max b 1e-9 in
+  {
+    off;
+    on;
+    off2;
+    overhead_pct = pct on.median off.median;
+    floor_pct = pct off2.median off.median;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Significance                                                         *)

@@ -1,6 +1,7 @@
 (** Statistical measurement: multi-sample timing with warmup and GC
-    settling, median/MAD summaries, a self-calibrated noise floor, and
-    the environment fingerprint every persisted measurement carries.
+    settling, median/MAD summaries, the off/on/off2 overhead harness,
+    and the environment fingerprint every persisted measurement
+    carries.
 
     This generalizes the one-off calibration that lived in
     [bench resource]: instead of a single-shot [seconds] headline that
@@ -36,9 +37,13 @@ val fingerprint_json : fingerprint -> string
     [{"git_sha":"abc123","ocaml_version":"5.1.1","word_size":64,"flambda":false,"hostname":"ci"}]. *)
 
 val fingerprint_of_json : string -> fingerprint option
-(** Inverse of {!fingerprint_json}; [None] when any field is missing or
-    malformed. Scans the first occurrence of each field, so the input
-    may be a whole snapshot line containing the fingerprint object. *)
+(** Inverse of {!fingerprint_json}; [None] when the text is not JSON or
+    any field is missing or ill-typed. The input may also be a whole
+    snapshot or report object carrying the fingerprint under a
+    ["fingerprint"] member. *)
+
+val fingerprint_of_value : Json.t -> fingerprint option
+(** {!fingerprint_of_json} on an already-parsed object. *)
 
 val fingerprint_equal : fingerprint -> fingerprint -> bool
 val pp_fingerprint : Format.formatter -> fingerprint -> unit
@@ -80,11 +85,23 @@ val measure : ?plan:plan -> (unit -> 'a) -> 'a * summary
     returning the last run's result and the timing summary. Timing uses
     {!Congest.Resource.now}, the repo's single sanctioned clock. *)
 
-val noise_floor : ?plan:plan -> (unit -> 'a) -> float
-(** Relative difference between the medians of two independent
-    measurement batches of the same workload — an empirical bound on
-    run-to-run noise under the current plan. [0.] when the first
-    batch's median is not positive. *)
+type overhead = {
+  off : summary;  (** baseline samples *)
+  on : summary;  (** instrumented samples *)
+  off2 : summary;  (** baseline again, after the instrumented batch *)
+  overhead_pct : float;  (** [100 (on - off) / off], on the medians *)
+  floor_pct : float;
+      (** [100 (off2 - off) / off]: the run-to-run noise floor the
+          overhead is read against *)
+}
+
+val overhead :
+  reps:int -> baseline:(unit -> 'a) -> instrumented:(unit -> 'b) -> overhead
+(** The off/on/off2 overhead harness behind every [bench] overhead
+    table: runs each thunk once untimed, then measures [baseline],
+    [instrumented] and [baseline] again with {!measure}, [reps] samples
+    each (at least one), settling the heap before every sample so no
+    batch pays the previous batch's garbage. *)
 
 val threshold : ?rel:float -> ?k:float -> mad:float -> float -> float
 (** [threshold ~mad baseline] is the absolute delta a measurement must

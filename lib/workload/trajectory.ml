@@ -22,32 +22,14 @@ let snapshot_json ?fingerprint ~time entries =
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_char buf ',';
-      (* "seconds" stays first so prefix-scanning parsers (num_field
-         matches the first occurrence) keep reading the median, not
-         "seconds_median"/"seconds_mad" *)
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"name\":%S,\"rounds\":%d,\"messages\":%d,\"max_bits\":%d,\"phases\":%d,\"seconds\":%.4f,\"seconds_median\":%.4f,\"seconds_mad\":%.6f,\"minor_words_per_node\":%.1f,\"peak_heap_mb\":%.1f}"
-           e.name e.rounds e.messages e.max_bits e.phases e.seconds e.seconds
+           "{\"name\":%s,\"rounds\":%d,\"messages\":%d,\"max_bits\":%d,\"phases\":%d,\"seconds\":%.4f,\"seconds_median\":%.4f,\"seconds_mad\":%.6f,\"minor_words_per_node\":%.1f,\"peak_heap_mb\":%.1f}"
+           (Json.quote e.name) e.rounds e.messages e.max_bits e.phases e.seconds e.seconds
            e.seconds_mad e.minor_words_per_node e.peak_heap_mb))
     entries;
   Buffer.add_string buf "]}";
   Buffer.contents buf
-
-(* a snapshot line must be a balanced one-line object mentioning
-   "workloads"; the array delimiter lines '[' / ']' are structure, not
-   snapshots, and anything else is malformed *)
-let balanced_object line =
-  let depth = ref 0 and ok = ref true in
-  String.iter
-    (fun c ->
-      if c = '{' then incr depth
-      else if c = '}' then begin
-        decr depth;
-        if !depth < 0 then ok := false
-      end)
-    line;
-  !ok && !depth = 0
 
 (* the trajectory file is a JSON array with exactly one snapshot object
    per line, so appending = collect the '{'-lines and rewrite *)
@@ -68,8 +50,9 @@ let read_snapshot_lines ?(warn = fun ~line_number:_ _ -> ()) path =
                  String.sub line 0 (String.length line - 1)
                else line
              in
-             if balanced_object line then lines := line :: !lines
-             else warn ~line_number:!lineno line
+             match Json.of_string line with
+             | Ok (Json.Object _) -> lines := line :: !lines
+             | _ -> warn ~line_number:!lineno line
            end
            else if line <> "[" && line <> "]" then
              warn ~line_number:!lineno line
@@ -86,65 +69,47 @@ let write path lines =
   output_string oc "\n]\n";
   close_out oc
 
-(* just enough JSON scanning for our own one-line snapshots: the
-   workload objects are flat, so each runs from a {"name": marker to the
-   next '}' *)
-let index_of_sub s pos sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go pos
+type snapshot = {
+  time : float;
+  fingerprint : Stats.fingerprint option;
+  workloads : (string * (string * float) list) list;
+}
 
-let workload_objs line =
-  let rec go pos acc =
-    match index_of_sub line pos "{\"name\":" with
-    | None -> List.rev acc
-    | Some i -> (
-        match String.index_from_opt line i '}' with
-        | None -> List.rev acc
-        | Some j -> go (j + 1) (String.sub line i (j - i + 1) :: acc))
-  in
-  go 0 []
+let empty_snapshot = { time = 0.0; fingerprint = None; workloads = [] }
 
-let str_field field obj =
-  match index_of_sub obj 0 ("\"" ^ field ^ "\":\"") with
-  | None -> None
-  | Some i -> (
-      let start = i + String.length field + 4 in
-      match String.index_from_opt obj start '"' with
-      | None -> None
-      | Some j -> Some (String.sub obj start (j - start)))
+let snapshot_of_line line =
+  match Json.of_string line with
+  | Error e -> Error e
+  | Ok (Json.Object _ as v) ->
+      let workload w =
+        match (Json.member "name" w, w) with
+        | Some (Json.String name), Json.Object kvs ->
+            Some
+              ( name,
+                List.filter_map
+                  (fun (k, x) -> Option.map (fun f -> (k, f)) (Json.to_float_opt x))
+                  kvs )
+        | _ -> None
+      in
+      Ok
+        {
+          time =
+            Option.value
+              (Option.bind (Json.member "time" v) Json.to_float_opt)
+              ~default:0.0;
+          fingerprint =
+            Option.bind (Json.member "fingerprint" v) Stats.fingerprint_of_value;
+          workloads =
+            List.filter_map workload
+              (Json.to_list
+                 (Option.value (Json.member "workloads" v) ~default:Json.Null));
+        }
+  | Ok _ -> Error "snapshot line is not a JSON object"
 
-let num_field field obj =
-  match index_of_sub obj 0 ("\"" ^ field ^ "\":") with
-  | None -> None
-  | Some i ->
-      let start = i + String.length field + 3 in
-      let j = ref start in
-      let len = String.length obj in
-      while
-        !j < len
-        && (match obj.[!j] with
-           | '0' .. '9' | '.' | '-' | '+' | 'e' -> true
-           | _ -> false)
-      do
-        incr j
-      done;
-      float_of_string_opt (String.sub obj start (!j - start))
-
-(* the fingerprint object is flat, so it runs from its marker to the
-   next '}' *)
 let fingerprint_of_line line =
-  match index_of_sub line 0 "\"fingerprint\":{" with
-  | None -> None
-  | Some i -> (
-      let start = i + String.length "\"fingerprint\":" in
-      match String.index_from_opt line start '}' with
-      | None -> None
-      | Some j -> Some (String.sub line start (j - start + 1)))
+  match snapshot_of_line line with
+  | Ok { fingerprint = Some fp; _ } -> Some (Stats.fingerprint_json fp)
+  | _ -> None
 
 type regression = {
   r_name : string;
@@ -164,66 +129,63 @@ let default_metrics =
     "peak_heap_mb";
   ]
 
+let read_or_empty line =
+  Result.value (snapshot_of_line line) ~default:empty_snapshot
+
+let compare_workloads ~metrics ~k olds news =
+  List.concat_map
+    (fun (name, ncols) ->
+      match List.assoc_opt name olds with
+      | None -> []  (* newly-added row: nothing to diff against *)
+      | Some ocols ->
+          List.filter_map
+            (fun metric ->
+              match (List.assoc_opt metric ocols, List.assoc_opt metric ncols) with
+              | Some ov, Some nv when ov > 0.0 ->
+                  (* noisy metrics carry a recorded "<metric>_mad"
+                     column; the gate widens to max(10%, k*MAD), and
+                     metrics without one keep the pure 10% gate *)
+                  let mad_of cols =
+                    Option.value (List.assoc_opt (metric ^ "_mad") cols)
+                      ~default:0.0
+                  in
+                  let mad = Float.max (mad_of ocols) (mad_of ncols) in
+                  (* seconds additionally needs to clear an absolute
+                     floor (as in {!Diff}): sub-millisecond headline
+                     jitter on the fast workloads never flags *)
+                  let floor = if metric = "seconds" then 0.005 else 0.0 in
+                  if Stats.exceeds ~k ~mad ~baseline:ov nv && nv -. ov > floor
+                  then
+                    Some
+                      {
+                        r_name = name;
+                        r_metric = metric;
+                        r_old = ov;
+                        r_new = nv;
+                        r_pct = 100.0 *. (nv -. ov) /. ov;
+                      }
+                  else None
+              | _ -> None)
+            metrics)
+    news
+
 let compare_lines ?(metrics = default_metrics) ?(k = 3.0) ~old_line ~new_line
     () =
-  let olds = workload_objs old_line and news = workload_objs new_line in
-  let flagged = ref [] in
-  List.iter
-    (fun nobj ->
-      match str_field "name" nobj with
-      | None -> ()
-      | Some name -> (
-          match
-            List.find_opt (fun o -> str_field "name" o = Some name) olds
-          with
-          | None -> ()  (* newly-added row: nothing to diff against *)
-          | Some oobj ->
-              List.iter
-                (fun metric ->
-                  match (num_field metric oobj, num_field metric nobj) with
-                  | Some ov, Some nv when ov > 0.0 ->
-                      (* noisy metrics carry a recorded "<metric>_mad"
-                         column; the gate widens to max(10%, k*MAD), and
-                         metrics without one keep the pure 10% gate *)
-                      let mad_field = metric ^ "_mad" in
-                      let mad =
-                        Float.max
-                          (Option.value (num_field mad_field oobj) ~default:0.0)
-                          (Option.value (num_field mad_field nobj) ~default:0.0)
-                      in
-                      (* seconds additionally needs to clear an absolute
-                         floor (as in {!Diff}): sub-millisecond headline
-                         jitter on the fast workloads never flags *)
-                      let floor =
-                        if metric = "seconds" then 0.005 else 0.0
-                      in
-                      if
-                        Stats.exceeds ~k ~mad ~baseline:ov nv
-                        && nv -. ov > floor
-                      then
-                        flagged :=
-                          {
-                            r_name = name;
-                            r_metric = metric;
-                            r_old = ov;
-                            r_new = nv;
-                            r_pct = 100.0 *. (nv -. ov) /. ov;
-                          }
-                          :: !flagged
-                  | _ -> ())
-                metrics))
-    news;
-  List.rev !flagged
+  compare_workloads ~metrics ~k (read_or_empty old_line).workloads
+    (read_or_empty new_line).workloads
 
 type verdict =
   | Regressions of regression list
   | Incomparable of { old_fp : string; new_fp : string }
 
-let compare_snapshots ?metrics ?k ~old_line ~new_line () =
-  match (fingerprint_of_line old_line, fingerprint_of_line new_line) with
-  | Some old_fp, Some new_fp when old_fp <> new_fp ->
-      Incomparable { old_fp; new_fp }
-  | _ -> Regressions (compare_lines ?metrics ?k ~old_line ~new_line ())
+let compare_snapshots ?(metrics = default_metrics) ?(k = 3.0) ~old_line
+    ~new_line () =
+  let o = read_or_empty old_line and n = read_or_empty new_line in
+  match (o.fingerprint, n.fingerprint) with
+  | Some ofp, Some nfp when not (Stats.fingerprint_equal ofp nfp) ->
+      Incomparable
+        { old_fp = Stats.fingerprint_json ofp; new_fp = Stats.fingerprint_json nfp }
+  | _ -> Regressions (compare_workloads ~metrics ~k o.workloads n.workloads)
 
 let regression_line r =
   Printf.sprintf "regression: %s %s: %g -> %g (+%.1f%%)" r.r_name r.r_metric

@@ -8,7 +8,9 @@
     (rounds, messages, max_bits, phases) plus the resource columns
     (seconds with its median/MAD, minor_words_per_node, peak_heap_mb) —
     and each snapshot carries the {!Stats.fingerprint} it was recorded
-    under. [bench record] appends snapshots and diffs the newest
+    under. {!snapshot_of_line} is the typed reader every consumer
+    ({!Diff}, {!Dashboard}, the comparator) goes through.
+    [bench record] appends snapshots and diffs the newest
     against the previous one; CI greps the rendered ["regression: ..."]
     lines as warnings.
 
@@ -45,8 +47,8 @@ val snapshot_json :
 val read_snapshot_lines :
   ?warn:(line_number:int -> string -> unit) -> string -> string list
 (** The '{'-prefixed snapshot lines of a trajectory file, oldest first;
-    [[]] when the file does not exist. A malformed line (unbalanced
-    braces, or non-empty content that is neither a snapshot object nor
+    [[]] when the file does not exist. A malformed line (not a JSON
+    object, or non-empty content that is neither a snapshot object nor
     an array delimiter) is skipped and reported to [warn] with its
     1-based line number; the default [warn] is silent, matching the
     historical behavior. *)
@@ -54,18 +56,27 @@ val read_snapshot_lines :
 val write : string -> string list -> unit
 (** Rewrites the file as a JSON array, one snapshot per line. *)
 
-val workload_objs : string -> string list
-(** The flat workload objects of a snapshot line, in file order. *)
+type snapshot = {
+  time : float;  (** epoch seconds; [0.] when absent *)
+  fingerprint : Stats.fingerprint option;
+      (** [None] for pre-observatory lines or a malformed fingerprint *)
+  workloads : (string * (string * float) list) list;
+      (** each workload's name and its numeric columns, in file order *)
+}
 
-val str_field : string -> string -> string option
-(** [str_field field obj]: first ["field":"..."] occurrence. *)
+val snapshot_of_line : string -> (snapshot, string) result
+(** Parses one snapshot line through {!Json.of_string}; [Error] carries
+    the parse error with its offset. Workload objects without a string
+    ["name"] are skipped. *)
 
-val num_field : string -> string -> float option
-(** [num_field field obj]: first ["field":<number>] occurrence. *)
+val empty_snapshot : snapshot
+(** No time, no fingerprint, no workloads — what a consumer that
+    tolerates malformed lines reads one as. *)
 
 val fingerprint_of_line : string -> string option
-(** The raw ["fingerprint":{...}] object of a snapshot line, if
-    present; parse with {!Stats.fingerprint_of_json}. *)
+(** The snapshot's fingerprint re-rendered by {!Stats.fingerprint_json},
+    if the line carries a well-formed one; parse with
+    {!Stats.fingerprint_of_json}. *)
 
 type regression = {
   r_name : string;

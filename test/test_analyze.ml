@@ -207,6 +207,39 @@ let test_baseline_roundtrip () =
   check int "missing baseline file means empty accept list" 0
     (List.length (Analyze_core.read_baseline "/nonexistent/baseline.json"))
 
+let with_baseline_file contents f =
+  let path = Filename.temp_file "analyze_baseline" ".json" in
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* only the strings of the accept array are keys: later members and
+   their values are not *)
+let test_baseline_accept_only () =
+  with_baseline_file "{\"accept\":[\"k\"],\"note\":\"why\"}" (fun path ->
+      check
+        Alcotest.(list string)
+        "accept array only" [ "k" ]
+        (Analyze_core.read_baseline path))
+
+(* a truncated baseline is an error naming the file, never a garbage key *)
+let test_baseline_malformed () =
+  with_baseline_file "{\"accept\":[\"k" (fun path ->
+      match Analyze_core.read_baseline path with
+      | keys ->
+          Alcotest.fail
+            (Printf.sprintf "malformed baseline accepted: [%s]"
+               (String.concat "; " keys))
+      | exception Failure msg ->
+          let mentions sub =
+            let n = String.length sub and m = String.length msg in
+            let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
+            go 0
+          in
+          Alcotest.(check bool) "names the file" true (mentions path);
+          Alcotest.(check bool) "gives the offset" true (mentions "offset"))
+
 let test_json_deterministic () =
   let a = Analyze_core.analyze [ fixtures_dir ] in
   let b = Analyze_core.analyze [ fixtures_dir ] in
@@ -286,6 +319,10 @@ let () =
             test_config_suppression;
           Alcotest.test_case "baseline accept keys round-trip" `Quick
             test_baseline_roundtrip;
+          Alcotest.test_case "baseline reads only the accept array" `Quick
+            test_baseline_accept_only;
+          Alcotest.test_case "malformed baseline is an error" `Quick
+            test_baseline_malformed;
           Alcotest.test_case "deterministic JSON with per-rule counts"
             `Quick test_json_deterministic;
           Alcotest.test_case "same-name units kept apart" `Quick

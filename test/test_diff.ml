@@ -277,6 +277,32 @@ let test_load_specs () =
   | Ok _ -> Alcotest.fail "#N on a report accepted");
   Sys.remove rpath
 
+(* labels are file names, and file names need not be ASCII: the JSON
+   must stay valid (OCaml's %S would write "\195\169") and carry the
+   label back byte for byte *)
+let test_non_ascii_label_json () =
+  let d =
+    ok
+      (D.compare
+         (side ~label:"a/report_thm2.3_grid.json" base)
+         (side ~label:"b/rapport_\xc3\xa9.json" [ phase "carve"; phase "r\xc3\xa9" ]))
+  in
+  match Json.of_string (D.to_json d) with
+  | Error e -> Alcotest.fail ("diff JSON does not parse: " ^ e)
+  | Ok doc ->
+      let diff = Option.get (Json.member "diff" doc) in
+      check
+        Alcotest.(option string)
+        "label round-trips" (Some "b/rapport_\xc3\xa9.json")
+        (Option.bind (Json.member "new" diff) Json.to_string_opt);
+      Alcotest.(check bool)
+        "phase path round-trips" true
+        (List.exists
+           (fun r ->
+             Option.bind (Json.member "path" r) Json.to_string_opt
+             = Some "r\xc3\xa9")
+           (Json.to_list (Option.get (Json.member "rows" diff))))
+
 let () =
   Alcotest.run "diff"
     [
@@ -307,6 +333,8 @@ let () =
         [
           Alcotest.test_case "clean markdown verdict" `Quick
             test_markdown_clean_verdict;
+          Alcotest.test_case "non-ASCII label round-trips through JSON" `Quick
+            test_non_ascii_label_json;
           Alcotest.test_case "differential folded stacks" `Quick
             test_folded_output;
         ] );

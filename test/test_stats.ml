@@ -69,11 +69,27 @@ let test_measure_clamps_samples () =
   let _, s = S.measure ~plan (fun () -> ()) in
   check Alcotest.int "at least one sample" 1 s.S.runs
 
-let test_noise_floor_finite () =
-  let plan = { S.warmup = 0; samples = 3; settle = false } in
-  let nf = S.noise_floor ~plan (fun () -> Sys.opaque_identity (List.init 100 Fun.id)) in
-  Alcotest.(check bool) "finite and non-negative" true
-    (Float.is_finite nf && nf >= 0.0)
+let test_overhead_harness () =
+  let reps = 3 in
+  let base_calls = ref 0 and instr_calls = ref 0 in
+  let o =
+    S.overhead ~reps
+      ~baseline:(fun () ->
+        incr base_calls;
+        Sys.opaque_identity (List.init 100 Fun.id))
+      ~instrumented:(fun () ->
+        incr instr_calls;
+        Sys.opaque_identity (List.init 200 Fun.id))
+  in
+  Alcotest.(check bool) "finite overhead and floor" true
+    (Float.is_finite o.S.overhead_pct && Float.is_finite o.S.floor_pct);
+  check Alcotest.int "off samples = reps" reps o.S.off.S.runs;
+  check Alcotest.int "on samples = reps" reps o.S.on.S.runs;
+  check Alcotest.int "off2 samples = reps" reps o.S.off2.S.runs;
+  (* one warm-up run each, then two baseline batches and one
+     instrumented batch *)
+  check Alcotest.int "baseline runs" (1 + (2 * reps)) !base_calls;
+  check Alcotest.int "instrumented runs" (1 + reps) !instr_calls
 
 (* ------------------------------------------------------------------ *)
 
@@ -102,6 +118,14 @@ let test_fingerprint_of_json_rejects () =
     "malformed word size" None
     (S.fingerprint_of_json
        "{\"git_sha\":\"a\",\"ocaml_version\":\"5\",\"word_size\":\"sixty\",\"flambda\":false,\"hostname\":\"h\"}")
+
+let test_fingerprint_non_ascii_host () =
+  (* a hostname with a byte >= 0x80 must still round-trip: the emitter
+     writes UTF-8 raw, not OCaml's decimal \ddd escapes *)
+  let fp = { fp with S.hostname = "h\xc3\xb6st" } in
+  let json = S.fingerprint_json fp in
+  Alcotest.(check bool) "valid JSON" true (Result.is_ok (Json.of_string json));
+  Alcotest.(check bool) "round-trips" true (S.fingerprint_of_json json = Some fp)
 
 let test_current_fingerprint () =
   let fp = S.current_fingerprint () in
@@ -140,11 +164,13 @@ let () =
             test_measure_counts_runs;
           Alcotest.test_case "samples clamped to one" `Quick
             test_measure_clamps_samples;
-          Alcotest.test_case "noise floor finite" `Quick test_noise_floor_finite;
+          Alcotest.test_case "overhead harness" `Quick test_overhead_harness;
         ] );
       ( "fingerprint",
         [
           Alcotest.test_case "json round-trip" `Quick test_fingerprint_roundtrip;
+          Alcotest.test_case "non-ASCII hostname round-trips" `Quick
+            test_fingerprint_non_ascii_host;
           Alcotest.test_case "malformed json rejected" `Quick
             test_fingerprint_of_json_rejects;
           Alcotest.test_case "current fingerprint" `Quick

@@ -77,7 +77,11 @@ let () =
   let accept =
     match !baseline with
     | None -> []
-    | Some file -> Analyze_core.read_baseline file
+    | Some file -> (
+        try Analyze_core.read_baseline file
+        with Failure e ->
+          Printf.eprintf "analyze: malformed baseline %s\n" e;
+          exit 2)
   in
   let open_findings, accepted =
     Analyze_core.split_baseline ~accept result.Analyze_core.r_findings

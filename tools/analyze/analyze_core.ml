@@ -1211,40 +1211,15 @@ let analyze ?(config = default_config) roots =
 let read_baseline path =
   if not (Sys.file_exists path) then []
   else begin
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
+    let ic = open_in_bin path in
+    let text = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    (* pull every string literal out of the accept array *)
-    let acc = ref [] in
-    let i = ref 0 in
-    let len = String.length s in
-    let in_accept = ref false in
-    while !i < len do
-      if (not !in_accept) && !i + 8 <= len && String.sub s !i 8 = "\"accept\""
-      then begin
-        in_accept := true;
-        i := !i + 8
-      end
-      else if !in_accept && s.[!i] = '"' then begin
-        let j = ref (!i + 1) in
-        let buf = Buffer.create 32 in
-        while !j < len && s.[!j] <> '"' do
-          if s.[!j] = '\\' && !j + 1 < len then begin
-            Buffer.add_char buf s.[!j + 1];
-            j := !j + 2
-          end
-          else begin
-            Buffer.add_char buf s.[!j];
-            incr j
-          end
-        done;
-        acc := Buffer.contents buf :: !acc;
-        i := !j + 1
-      end
-      else incr i
-    done;
-    List.rev !acc
+    match Json.of_string text with
+    | Error e -> failwith (Printf.sprintf "%s: %s" path e)
+    | Ok doc -> (
+        match Json.member "accept" doc with
+        | Some (Json.Array keys) -> List.filter_map Json.to_string_opt keys
+        | _ -> failwith (Printf.sprintf "%s: no \"accept\" array" path))
   end
 
 let split_baseline ~accept findings =
@@ -1253,20 +1228,6 @@ let split_baseline ~accept findings =
 (* ---------------------------------------------------------------- *)
 (* output                                                            *)
 (* ---------------------------------------------------------------- *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
 
 let to_json ?(accepted = []) r =
   let buf = Buffer.create 8192 in
@@ -1278,10 +1239,10 @@ let to_json ?(accepted = []) r =
       if i > 0 then Buffer.add_char buf ',';
       add
         (Printf.sprintf
-           "{\"unit\":\"%s\",\"file\":\"%s\",\"local\":%d,\"owned\":%d,\"shared_annotated\":%d,\"shared_open\":%d,\"verdict\":\"%s\"}"
-           (json_escape m.m_unit) (json_escape m.m_file) m.m_local m.m_owned
+           "{\"unit\":%s,\"file\":%s,\"local\":%d,\"owned\":%d,\"shared_annotated\":%d,\"shared_open\":%d,\"verdict\":%s}"
+           (Json.quote m.m_unit) (Json.quote m.m_file) m.m_local m.m_owned
            m.m_shared_annotated m.m_shared_open
-           (if m.m_shared_open = 0 then "safe" else "unsafe")))
+           (Json.quote (if m.m_shared_open = 0 then "safe" else "unsafe"))))
     r.r_modules;
   add "],\"inventory\":[";
   List.iteri
@@ -1289,24 +1250,24 @@ let to_json ?(accepted = []) r =
       if i > 0 then Buffer.add_char buf ',';
       add
         (Printf.sprintf
-           "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"unit\":\"%s\",\"binding\":\"%s\",\"fn\":\"%s\",\"kind\":\"%s\",\"class\":\"%s\"%s}"
-           (json_escape e.e_file) e.e_line e.e_col (json_escape e.e_unit)
-           (json_escape e.e_binding) (json_escape e.e_fn)
-           (json_escape e.e_kind)
-           (escape_name e.e_class)
+           "{\"file\":%s,\"line\":%d,\"col\":%d,\"unit\":%s,\"binding\":%s,\"fn\":%s,\"kind\":%s,\"class\":%s%s}"
+           (Json.quote e.e_file) e.e_line e.e_col (Json.quote e.e_unit)
+           (Json.quote e.e_binding) (Json.quote e.e_fn)
+           (Json.quote e.e_kind)
+           (Json.quote (escape_name e.e_class))
            (match e.e_reason with
            | None -> ""
-           | Some rsn -> Printf.sprintf ",\"reason\":\"%s\"" (json_escape rsn))))
+           | Some rsn -> Printf.sprintf ",\"reason\":%s" (Json.quote rsn))))
     r.r_entries;
   add "],\"mutable_types\":[";
   List.iteri
     (fun i t ->
       if i > 0 then Buffer.add_char buf ',';
       add
-        (Printf.sprintf "{\"unit\":\"%s\",\"type\":\"%s\",\"fields\":[%s]}"
-           (json_escape t.t_unit) (json_escape t.t_name)
+        (Printf.sprintf "{\"unit\":%s,\"type\":%s,\"fields\":[%s]}"
+           (Json.quote t.t_unit) (Json.quote t.t_name)
            (String.concat ","
-              (List.map (fun f -> "\"" ^ json_escape f ^ "\"") t.t_fields))))
+              (List.map Json.quote t.t_fields))))
     r.r_mutable_types;
   add "],\"hot\":[";
   List.iteri
@@ -1314,8 +1275,8 @@ let to_json ?(accepted = []) r =
       if i > 0 then Buffer.add_char buf ',';
       add
         (Printf.sprintf
-           "{\"unit\":\"%s\",\"fn\":\"%s\",\"file\":\"%s\",\"line\":%d,\"allocs\":%d,\"accepted\":%d,\"unresolved\":%d}"
-           (json_escape h.h_unit) (json_escape h.h_fn) (json_escape h.h_file)
+           "{\"unit\":%s,\"fn\":%s,\"file\":%s,\"line\":%d,\"allocs\":%d,\"accepted\":%d,\"unresolved\":%d}"
+           (Json.quote h.h_unit) (Json.quote h.h_fn) (Json.quote h.h_file)
            h.h_line h.h_allocs h.h_accepted h.h_unresolved))
     r.r_hots;
   let emit_findings fs =
@@ -1324,9 +1285,9 @@ let to_json ?(accepted = []) r =
         if i > 0 then Buffer.add_char buf ',';
         add
           (Printf.sprintf
-             "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"key\":\"%s\",\"detail\":\"%s\"}"
-             (json_escape f.f_file) f.f_line f.f_col (json_escape f.f_rule)
-             (json_escape f.f_key) (json_escape f.f_detail)))
+             "{\"file\":%s,\"line\":%d,\"col\":%d,\"rule\":%s,\"key\":%s,\"detail\":%s}"
+             (Json.quote f.f_file) f.f_line f.f_col (Json.quote f.f_rule)
+             (Json.quote f.f_key) (Json.quote f.f_detail)))
       fs
   in
   add "],\"findings\":[";
@@ -1338,7 +1299,7 @@ let to_json ?(accepted = []) r =
     (fun i (rule, _) ->
       if i > 0 then Buffer.add_char buf ',';
       add
-        (Printf.sprintf "\"%s\":%d" (json_escape rule)
+        (Printf.sprintf "%s:%d" (Json.quote rule)
            (List.length
               (List.filter (fun f -> f.f_rule = rule) r.r_findings))))
     rules;

@@ -76,8 +76,11 @@ val analyze : ?config:config -> string list -> result
 (** sweep every .cmt under the given root directories *)
 
 val read_baseline : string -> string list
-(** accepted finding keys from a {"accept":[...]} baseline file;
-    [] when the file does not exist *)
+(** accepted finding keys: the strings of the ["accept"] array of a
+    [{"accept":[...]}] baseline file (parsed by {!Json.of_string});
+    [] when the file does not exist. Raises [Failure] naming the file
+    and the parse error (with its offset) when the file exists but is
+    not such a document. *)
 
 val split_baseline :
   accept:string list -> finding list -> finding list * finding list

@@ -256,20 +256,6 @@ let ml_files roots =
 let pp_finding fmt f =
   Format.fprintf fmt "%s:%d:%d: [%s] %s" f.file f.line f.col f.rule f.detail
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* (file, line, col, rule) order, so the report and the JSON payload are
    byte-stable regardless of the filesystem walk order that produced the
    findings *)
@@ -288,8 +274,8 @@ let to_json ~files_scanned findings =
     (fun i (name, doc) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"name\":\"%s\",\"doc\":\"%s\"}" (json_escape name)
-           (json_escape doc)))
+        (Printf.sprintf "{\"name\":%s,\"doc\":%s}" (Json.quote name)
+           (Json.quote doc)))
     rules;
   Buffer.add_string buf
     (Printf.sprintf "],\"files_scanned\":%d,\"findings\":[" files_scanned);
@@ -298,16 +284,16 @@ let to_json ~files_scanned findings =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"detail\":\"%s\"}"
-           (json_escape f.file) f.line f.col (json_escape f.rule)
-           (json_escape f.detail)))
+           "{\"file\":%s,\"line\":%d,\"col\":%d,\"rule\":%s,\"detail\":%s}"
+           (Json.quote f.file) f.line f.col (Json.quote f.rule)
+           (Json.quote f.detail)))
     findings;
   Buffer.add_string buf "],\"counts\":{";
   List.iteri
     (fun i (name, _) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%d" (json_escape name)
+        (Printf.sprintf "%s:%d" (Json.quote name)
            (List.length (List.filter (fun f -> f.rule = name) findings))))
     rules;
   Buffer.add_string buf "}}";
