@@ -1250,18 +1250,18 @@ let record_entries () =
    surfaces them as non-blocking warnings. Snapshots recorded under
    different environment fingerprints are not compared at all. *)
 let compare_snapshots ~old_line ~new_line =
-  match Trajectory.compare_snapshots ~old_line ~new_line () with
+  let verdict = Trajectory.compare_snapshots ~old_line ~new_line () in
+  (match verdict with
   | Trajectory.Incomparable { old_fp; new_fp } ->
       Format.fprintf fmt
         "environment fingerprint changed -- skipping the regression \
          comparison@.  previous: %s@.  current:  %s@."
-        old_fp new_fp;
-      0
+        old_fp new_fp
   | Trajectory.Regressions regs ->
       List.iter
         (fun r -> Format.fprintf fmt "%s@." (Trajectory.regression_line r))
-        regs;
-      List.length regs
+        regs);
+  verdict
 
 let fingerprint = lazy (Workload.Stats.current_fingerprint ())
 
@@ -1294,9 +1294,8 @@ let run_record_only () =
     trajectory_path;
   (match List.rev prev with
   | last :: _ ->
-      if compare_snapshots ~old_line:last ~new_line:line = 0 then
-        Format.fprintf fmt "no significant regressions vs the previous \
-                            snapshot@."
+      let verdict = compare_snapshots ~old_line:last ~new_line:line in
+      Format.fprintf fmt "%s@." (Trajectory.verdict_line verdict)
   | [] -> Format.fprintf fmt "first snapshot -- nothing to compare against@.")
 
 (* ------------------------------------------------------------------ *)

@@ -183,6 +183,49 @@ let wakeq_pop_due q round =
   end
 [@@hot]
 
+(* ------------------------------------------------------------------ *)
+(* Next-round fabric                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Messages due exactly one round after they are sent, as three parallel
+   flat arrays in send order. A round delivers the whole buffer before it
+   steps its first node, so one buffer serves both roles: it is emptied
+   at the start of a round and refilled by that round's sends. The
+   simulator's duplicate-destination check allows one message per
+   directed edge and round, so the capacity is 2m (4m under an adversary,
+   whose duplicate may land both copies next round). The arrays are
+   created by the first send ([fabric_open]): an ['msg array] needs a
+   message to fill it with. *)
+type 'msg fabric = {
+  mutable f_dst : int array;
+  mutable f_src : int array;
+  mutable f_msg : 'msg array;
+  mutable f_len : int;
+}
+
+let fabric_create () = { f_dst = [||]; f_src = [||]; f_msg = [||]; f_len = 0 }
+
+let fabric_open f ~capacity msg =
+  f.f_dst <- Array.make capacity 0;
+  f.f_src <- Array.make capacity 0;
+  f.f_msg <- Array.make capacity msg
+
+let fabric_push f dst src msg =
+  let i = f.f_len in
+  f.f_dst.(i) <- dst;
+  f.f_src.(i) <- src;
+  f.f_msg.(i) <- msg;
+  f.f_len <- i + 1
+[@@hot]
+
+(* empty the buffer for this round's sends; returns how many messages it
+   held, to be delivered from index [len - 1] down to 0 *)
+let fabric_take f =
+  let len = f.f_len in
+  f.f_len <- 0;
+  len
+[@@hot]
+
 (* Per-node crash and revive rounds of an adversary, ascending and
    deduplicated: the simulator must visit a node on each of them so that
    [Node_crashed] events and resumed steps land where a dense loop would
@@ -256,24 +299,35 @@ let simulate ?(config = Config.default) ~bits g program =
       if h then incr halted_count else decr halted_count
     end
   in
-  (* arrivals.(future round) -> (dst, src, msg) in reverse send order; with
-     no adversary everything lands exactly one round after it is sent, so
-     the table holds a single entry *)
+  (* copies due next round go to the flat [next] buffer; only copies an
+     adversary delays (or the later copy of a duplicate) wait in
+     [arrivals.(future round)] -> (dst, src, msg), in reverse send order *)
+  let next = fabric_create () in
+  (* an adversary's duplicate may land both copies next round *)
+  let capacity =
+    (match adversary with None -> 2 | Some _ -> 4) * Graph.m g
+  in
   let arrivals : (int, (int * int * 'msg) list ref) Hashtbl.t =
     Hashtbl.create 16
   in
   let pending = ref 0 in
-  let schedule ~at dst src msg =
+  let schedule ~round ~at dst src msg =
     incr pending;
-    let cell =
-      match Hashtbl.find_opt arrivals at with
-      | Some c -> c
-      | None ->
-          let c = ref [] in
-          Hashtbl.add arrivals at c;
-          c
-    in
-    cell := (dst, src, msg) :: !cell
+    if at = round + 1 then begin
+      if Array.length next.f_msg = 0 then
+        fabric_open next ~capacity msg;
+      fabric_push next dst src msg
+    end
+    else
+      let cell =
+        match Hashtbl.find_opt arrivals at with
+        | Some c -> c
+        | None ->
+            let c = ref [] in
+            Hashtbl.add arrivals at c;
+            c
+      in
+      cell := (dst, src, msg) :: !cell
   in
   let crashed_at round v =
     match adversary with
@@ -284,7 +338,7 @@ let simulate ?(config = Config.default) ~bits g program =
      when tracing is off *)
   let sent_this_round = ref 0 in
   let delivered_this_round = ref 0 in
-  let send ~round v (dst, msg) =
+  let send ~round v dst msg =
     if not (Graph.is_edge g v dst) then
       invalid_arg
         (Printf.sprintf "Sim.simulate: node %d sent to non-neighbor %d" v dst);
@@ -310,7 +364,7 @@ let simulate ?(config = Config.default) ~bits g program =
     | None -> ()
     | Some s -> Trace.emit_message_sent s ~round ~src:v ~dst ~bits:b);
     match adversary with
-    | None -> schedule ~at:(round + 1) dst v msg
+    | None -> schedule ~round ~at:(round + 1) dst v msg
     | Some adv ->
         if Fault.is_crashed adv ~round dst then begin
           Fault.count_drop adv;
@@ -323,7 +377,7 @@ let simulate ?(config = Config.default) ~bits g program =
         end
         else (
           match Fault.fate adv ~round ~src:v ~dst with
-          | Fault.Deliver -> schedule ~at:(round + 1) dst v msg
+          | Fault.Deliver -> schedule ~round ~at:(round + 1) dst v msg
           | Fault.Drop -> (
               match trace with
               | None -> ()
@@ -332,8 +386,8 @@ let simulate ?(config = Config.default) ~bits g program =
                     (Trace.Message_dropped
                        { round; src = v; dst; reason = Trace.Adversary }))
           | Fault.Duplicate d ->
-              schedule ~at:(round + 1) dst v msg;
-              schedule ~at:(round + 1 + d) dst v msg;
+              schedule ~round ~at:(round + 1) dst v msg;
+              schedule ~round ~at:(round + 1 + d) dst v msg;
               (match trace with
               | None -> ()
               | Some s ->
@@ -341,12 +395,18 @@ let simulate ?(config = Config.default) ~bits g program =
                     (Trace.Message_duplicated
                        { round; src = v; dst; copy_delay = d }))
           | Fault.Delay d -> (
-              schedule ~at:(round + 1 + d) dst v msg;
+              schedule ~round ~at:(round + 1 + d) dst v msg;
               match trace with
               | None -> ()
               | Some s ->
                   Trace.record s
                     (Trace.Message_delayed { round; src = v; dst; delay = d })))
+  in
+  let rec send_all ~round v = function
+    | [] -> ()
+    | (dst, msg) :: rest ->
+        send ~round v dst msg;
+        send_all ~round v rest
   in
   (* visit node [v] in [round]; returns the round it next wants to run
      in ([max_int] = only on mail) *)
@@ -377,11 +437,33 @@ let simulate ?(config = Config.default) ~bits g program =
           if halt && not was_halted then
             Trace.record s (Trace.Node_halted { round; node = v }));
       incr gen;
-      List.iter (send ~round v) outgoing;
+      send_all ~round v outgoing;
       match wake with
       | Run -> round + 1
       | Halt -> max_int
       | Sleep_until r -> max r (round + 1)
+    end
+  in
+  let deliver ~round dst src msg =
+    decr pending;
+    if crashed_at round dst then begin
+      (match adversary with
+      | Some adv -> Fault.count_drop adv
+      | None -> ());
+      match trace with
+      | None -> ()
+      | Some s ->
+          Trace.record s
+            (Trace.Message_dropped
+               { round; src; dst; reason = Trace.Crashed_destination })
+    end
+    else begin
+      inboxes.(dst) <- (src, msg) :: inboxes.(dst);
+      wakeq_push wq dst round;
+      incr delivered_this_round;
+      match trace with
+      | None -> ()
+      | Some s -> Trace.emit_message_delivered s ~round ~src ~dst
     end
   in
   let continue = ref true in
@@ -394,35 +476,18 @@ let simulate ?(config = Config.default) ~bits g program =
     | None -> ()
     | Some s -> Trace.record s (Trace.Round_start { round }));
     (* move deliveries due this round into the inboxes, in send order,
-       and wake their recipients *)
+       and wake their recipients. Everything in [next] was sent last
+       round, after every delayed copy due now, so reverse send order is
+       [next] backwards and then the delayed copies; the prepend in
+       [deliver] reverses again per destination, so inboxes end up in
+       send order *)
+    for i = fabric_take next - 1 downto 0 do
+      deliver ~round next.f_dst.(i) next.f_src.(i) next.f_msg.(i)
+    done;
     (match Hashtbl.find_opt arrivals round with
     | None -> ()
     | Some cell ->
-        List.iter
-          (fun (dst, src, msg) ->
-            decr pending;
-            if crashed_at round dst then begin
-              (match adversary with
-              | Some adv -> Fault.count_drop adv
-              | None -> ());
-              match trace with
-              | None -> ()
-              | Some s ->
-                  Trace.record s
-                    (Trace.Message_dropped
-                       { round; src; dst; reason = Trace.Crashed_destination })
-            end
-            else begin
-              inboxes.(dst) <- (src, msg) :: inboxes.(dst);
-              wakeq_push wq dst round;
-              incr delivered_this_round;
-              match trace with
-              | None -> ()
-              | Some s -> Trace.emit_message_delivered s ~round ~src ~dst
-            end)
-          !cell;
-        (* cell is in reverse send order and the prepend above reverses
-           again per destination: inboxes end up in send order *)
+        List.iter (fun (dst, src, msg) -> deliver ~round dst src msg) !cell;
         Hashtbl.remove arrivals round);
     (* step every due node, lowest id first; a visit only ever asks for
        a later round, so this drains exactly this round's nodes *)

@@ -20,28 +20,135 @@ type msg =
   | Died
   | Stopped of int
 
-type tree_entry = { parent : int; mutable children : int list }
+(* One Steiner tree this node belongs to, with this step's convergecast
+   state (reset when a step starts). *)
+type tree_entry = {
+  cluster : int;
+  parent : int;
+  mutable children : int list;
+  mutable reports : int; (* Count_up messages received this step *)
+  mutable sum : int; (* proposals they carried *)
+  mutable sent_up : bool; (* counted upward (decided, at the root) *)
+  mutable proposers : int list;
+      (* neighbours that proposed to this cluster while this node held
+         its label, newest first *)
+}
 
+(* Per-node state on flat arrays indexed by neighbour slot: slot i is
+   [nbrs.(i)], the neighbours in ascending id order.
+
+   Two of the state's iteration orders are part of the output, because
+   they decide the order of sends: trees are aggregated, and outgoing
+   queues drained, in the iteration order of a [Hashtbl] keyed by the
+   cluster label, respectively the neighbour id. [tree_tbl] and
+   [out_tbl] are kept only as the authority on that order. They are
+   touched when a key is first inserted; [trees] and [out_order] cache
+   their [Hashtbl.fold] order for the hot path ([out_order] is refreshed
+   at the next drain, so a broadcast refolds once, not once per key). *)
 type nstate = {
   id : int;
   mutable label : int; (* >= 0 cluster label, -2 dead *)
-  trees : (int, tree_entry) Hashtbl.t;
-  nbr_label : (int, int) Hashtbl.t;
-  stopped : (int, unit) Hashtbl.t; (* per phase *)
+  nbrs : int array;
+  nbr_label : int array; (* last label heard from each neighbour, -2 dead *)
+  mutable stopped : int list; (* clusters stopped this phase *)
+  tree_tbl : (int, tree_entry) Hashtbl.t;
+  mutable trees : tree_entry array;
   (* root-side bookkeeping, meaningful when some cluster label = id *)
   mutable size : int;
   mutable joined : int;
-  (* per-step transient state *)
-  props : (int, int list ref) Hashtbl.t; (* cluster -> proposer neighbors *)
-  counts : (int, int * int) Hashtbl.t; (* cluster -> (#reports, sum) *)
-  sent_up : (int, unit) Hashtbl.t;
-  outq : (int, msg Queue.t) Hashtbl.t;
+  (* per-neighbour FIFO queues: one message per edge per round *)
+  queues : msg Queue.t array;
+  mutable queued : int; (* messages over all queues *)
+  out_tbl : (int, int) Hashtbl.t; (* neighbour id -> slot *)
+  mutable out_order : int array;
+  mutable out_stale : bool; (* [out_tbl] gained a key since [out_order] *)
+  listed : bool array; (* slot is a key of [out_tbl] *)
+  mutable dirty : bool; (* aggregation inputs changed since the last pass *)
   mutable steps_left_in_phase : int;
   mutable phases_left : int list; (* step counts of the remaining phases *)
   mutable bit : int; (* current phase's bit *)
 }
 
 let is_red bit lbl = (lbl lsr bit) land 1 = 1
+
+let fold_order tbl =
+  Array.of_list (List.rev (Hashtbl.fold (fun _ v acc -> v :: acc) tbl []))
+
+(* index of cluster [c] in [trees], or -1 *)
+let rec tree_index trees c i =
+  if i < 0 then -1
+  else if trees.(i).cluster = c then i
+  else tree_index trees c (i - 1)
+
+let find_tree st c = tree_index st.trees c (Array.length st.trees - 1)
+
+(* slot of neighbour [w] in the sorted [nbrs.(lo .. hi-1)], or -1 *)
+let rec slot_search nbrs w lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let x = nbrs.(mid) in
+    if x = w then mid
+    else if x < w then slot_search nbrs w (mid + 1) hi
+    else slot_search nbrs w lo mid
+
+let slot_of st w = slot_search st.nbrs w 0 (Array.length st.nbrs)
+
+let rec mem_int c = function [] -> false | x :: r -> x = c || mem_int c r
+
+let add_tree st c ~parent =
+  Hashtbl.replace st.tree_tbl c
+    {
+      cluster = c;
+      parent;
+      children = [];
+      reports = 0;
+      sum = 0;
+      sent_up = false;
+      proposers = [];
+    };
+  st.trees <- fold_order st.tree_tbl
+
+let enqueue_slot st slot m =
+  if not st.listed.(slot) then begin
+    st.listed.(slot) <- true;
+    Hashtbl.replace st.out_tbl st.nbrs.(slot) slot;
+    st.out_stale <- true
+  end;
+  Queue.add m st.queues.(slot);
+  st.queued <- st.queued + 1
+
+let enqueue st nbr m = enqueue_slot st (slot_of st nbr) m
+
+let rec enqueue_all st m = function
+  | [] -> ()
+  | w :: rest ->
+      enqueue st w m;
+      enqueue_all st m rest
+
+let broadcast st m =
+  for slot = 0 to Array.length st.nbrs - 1 do
+    enqueue_slot st slot m
+  done
+
+(* pop one message per non-empty queue, in [out_order]; the list comes
+   out in reverse of that order *)
+let drain st =
+  let out = ref [] in
+  if st.out_stale then begin
+    st.out_order <- fold_order st.out_tbl;
+    st.out_stale <- false
+  end;
+  if st.queued > 0 then
+    for i = 0 to Array.length st.out_order - 1 do
+      let slot = st.out_order.(i) in
+      let q = st.queues.(slot) in
+      if not (Queue.is_empty q) then begin
+        out := (st.nbrs.(slot), Queue.pop q) :: !out;
+        st.queued <- st.queued - 1
+      end
+    done;
+  !out
 
 (* Everything needed to run the node program, shared by the fault-free
    and the reliable-transport entry points. *)
@@ -78,23 +185,10 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
     | Weak_carving.Ggr21 -> ggr21
     | Weak_carving.Hybrid -> Float.min rg20 ggr21
   in
-  let enqueue st nbr m =
-    let q =
-      match Hashtbl.find_opt st.outq nbr with
-      | Some q -> q
-      | None ->
-          let q = Queue.create () in
-          Hashtbl.replace st.outq nbr q;
-          q
-    in
-    Queue.add m q
-  in
-  let neighbors = Graph.neighbors g in
-  let broadcast st m = Array.iter (fun nb -> enqueue st nb m) (neighbors st.id) in
   (* mark a cluster stopped; members announce it to their neighborhood *)
   let note_stopped st c =
-    if not (Hashtbl.mem st.stopped c) then begin
-      Hashtbl.replace st.stopped c ();
+    if not (mem_int c st.stopped) then begin
+      st.stopped <- c :: st.stopped;
       if st.label = c then broadcast st (Stopped c)
     end
   in
@@ -102,29 +196,27 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
     if old >= 0 then
       if old = st.id then st.size <- st.size - 1
       else
-        match Hashtbl.find_opt st.trees old with
-        | Some e -> enqueue st e.parent (Depart_up (old, 1))
-        | None -> () (* unreachable: members always hold a tree entry *)
+        let i = find_tree st old in
+        (* members always hold a tree entry *)
+        if i >= 0 then enqueue st st.trees.(i).parent (Depart_up (old, 1))
   in
   let handle_decide st c grow =
-    (match Hashtbl.find_opt st.trees c with
-    | Some e -> List.iter (fun child -> enqueue st child (Decide (c, grow))) e.children
-    | None -> ());
+    let i = find_tree st c in
+    if i >= 0 then enqueue_all st (Decide (c, grow)) st.trees.(i).children;
     if not grow then note_stopped st c;
-    (match Hashtbl.find_opt st.props c with
-    | None -> ()
-    | Some proposers ->
-        List.iter
-          (fun p -> enqueue st p (if grow then Accepted c else Rejected))
-          !proposers;
-        Hashtbl.remove st.props c)
+    (* proposals exist only for a label this node held, hence a tree *)
+    if i >= 0 then begin
+      let e = st.trees.(i) in
+      enqueue_all st (if grow then Accepted c else Rejected) e.proposers;
+      e.proposers <- []
+    end
   in
   let join st c contact =
     let old = st.label in
     depart st old;
     st.label <- c;
-    if not (Hashtbl.mem st.trees c) then begin
-      Hashtbl.replace st.trees c { parent = contact; children = [] };
+    if find_tree st c < 0 then begin
+      add_tree st c ~parent:contact;
       enqueue st contact (Attach c)
     end;
     broadcast st (Label_is c)
@@ -134,97 +226,101 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
     st.label <- -2;
     broadcast st Died
   in
+  let set_nbr_label st w l =
+    let slot = slot_of st w in
+    if slot >= 0 then st.nbr_label.(slot) <- l
+  in
   let process st sender m =
     match m with
-    | Label_is l -> Hashtbl.replace st.nbr_label sender l
-    | Died -> Hashtbl.replace st.nbr_label sender (-2)
+    | Label_is l -> set_nbr_label st sender l
+    | Died -> set_nbr_label st sender (-2)
     | Stopped c -> note_stopped st c
     | Propose ->
-        let c = st.label in
-        let cell =
-          match Hashtbl.find_opt st.props c with
-          | Some r -> r
-          | None ->
-              let r = ref [] in
-              Hashtbl.replace st.props c r;
-              r
-        in
-        cell := sender :: !cell
+        (* a live label always has its tree; dead or outside, no entry *)
+        let i = find_tree st st.label in
+        if i >= 0 then begin
+          let e = st.trees.(i) in
+          e.proposers <- sender :: e.proposers
+        end
     | Count_up (c, k) ->
-        let reports, sum =
-          Option.value ~default:(0, 0) (Hashtbl.find_opt st.counts c)
-        in
-        Hashtbl.replace st.counts c (reports + 1, sum + k)
+        let i = find_tree st c in
+        if i >= 0 then begin
+          let e = st.trees.(i) in
+          e.reports <- e.reports + 1;
+          e.sum <- e.sum + k
+        end
     | Depart_up (c, k) ->
         if c = st.id then st.size <- st.size - k
-        else (
-          match Hashtbl.find_opt st.trees c with
-          | Some e -> enqueue st e.parent (Depart_up (c, k))
-          | None -> ())
+        else
+          let i = find_tree st c in
+          if i >= 0 then enqueue st st.trees.(i).parent m
     | Decide (c, grow) -> handle_decide st c grow
     | Accepted c -> join st c sender
     | Rejected -> die st
-    | Attach c -> (
-        match Hashtbl.find_opt st.trees c with
-        | Some e -> e.children <- sender :: e.children
-        | None -> ())
+    | Attach c ->
+        let i = find_tree st c in
+        if i >= 0 then begin
+          let e = st.trees.(i) in
+          e.children <- sender :: e.children
+        end
+  in
+  let rec process_all st = function
+    | [] -> ()
+    | (s, m) :: rest ->
+        process st s m;
+        process_all st rest
   in
   (* aggregation pass: once proposals have arrived (round >= 4), each tree
-     node reports each cluster once all of that cluster's children have *)
+     node reports each cluster once all of that cluster's children have.
+     A pass changes nothing unless its inputs changed since the last one,
+     so it runs only when [dirty]. *)
   let aggregate st =
-    Hashtbl.iter
-      (fun c (e : tree_entry) ->
-        if not (Hashtbl.mem st.sent_up c) then begin
-          let reports, sum =
-            Option.value ~default:(0, 0) (Hashtbl.find_opt st.counts c)
-          in
-          if reports = List.length e.children then begin
-            let own =
-              if st.label = c then
-                match Hashtbl.find_opt st.props c with
-                | Some r -> List.length !r
-                | None -> 0
-              else 0
-            in
-            let total = own + sum in
-            Hashtbl.replace st.sent_up c ();
-            if c = st.id then begin
-              (* root: decide *)
-              if total > 0 then begin
-                let grow = float_of_int total >= threshold st in
-                if grow then begin
-                  st.size <- st.size + total;
-                  st.joined <- st.joined + total
-                end;
-                handle_decide st c grow
-              end
-            end
-            else enqueue st e.parent (Count_up (c, total))
+    let trees = st.trees in
+    for i = 0 to Array.length trees - 1 do
+      let e = trees.(i) in
+      if (not e.sent_up) && e.reports = List.length e.children then begin
+        let c = e.cluster in
+        let own = if st.label = c then List.length e.proposers else 0 in
+        let total = own + e.sum in
+        e.sent_up <- true;
+        if c = st.id then begin
+          (* root: decide *)
+          if total > 0 then begin
+            let grow = float_of_int total >= threshold st in
+            if grow then begin
+              st.size <- st.size + total;
+              st.joined <- st.joined + total
+            end;
+            handle_decide st c grow
           end
-        end)
-      st.trees
+        end
+        else enqueue st e.parent (Count_up (c, total))
+      end
+    done
   in
   let start_step st =
-    Hashtbl.reset st.props;
-    Hashtbl.reset st.counts;
-    Hashtbl.reset st.sent_up;
+    Array.iter
+      (fun e ->
+        e.reports <- 0;
+        e.sum <- 0;
+        e.sent_up <- false;
+        e.proposers <- [])
+      st.trees;
+    st.dirty <- true;
     (* red nodes adjacent to a live blue cluster propose *)
     if st.label >= 0 && is_red st.bit st.label then begin
-      let best = ref None in
-      Array.iter
-        (fun w ->
-          match Hashtbl.find_opt st.nbr_label w with
-          | Some lw
-            when lw >= 0
-                 && (not (is_red st.bit lw))
-                 && not (Hashtbl.mem st.stopped lw) -> (
-              match !best with
-              | None -> best := Some (lw, w)
-              | Some (bl, bw) ->
-                  if lw < bl || (lw = bl && w < bw) then best := Some (lw, w))
-          | _ -> ())
-        (neighbors st.id);
-      match !best with None -> () | Some (_, w) -> enqueue st w Propose
+      let best = ref (-1) in
+      for slot = 0 to Array.length st.nbrs - 1 do
+        let lw = st.nbr_label.(slot) in
+        if lw >= 0 && (not (is_red st.bit lw)) && not (mem_int lw st.stopped)
+        then
+          if !best < 0 then best := slot
+          else
+            let bl = st.nbr_label.(!best) in
+            if lw < bl || (lw = bl && st.nbrs.(slot) < st.nbrs.(!best)) then
+              best := slot
+      done;
+      if !best >= 0 then enqueue_slot st !best Propose
     end
   in
   let rec start_phase st steps rest =
@@ -240,7 +336,7 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
     else begin
       st.steps_left_in_phase <- steps;
       st.phases_left <- rest;
-      Hashtbl.reset st.stopped;
+      st.stopped <- [];
       st.joined <- 0;
       start_step st
     end
@@ -248,31 +344,35 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
   let program =
     {
       Congest.Sim.init =
-        (fun ~node ~neighbors:nbrs ->
+        (fun ~node ~neighbors ->
+          let nbrs = Array.copy neighbors in
+          Array.sort Int.compare nbrs;
+          let deg = Array.length nbrs in
           let st =
             {
               id = node;
               label = (if Mask.mem domain node then node else -1);
-              trees = Hashtbl.create 4;
-              nbr_label = Hashtbl.create (Array.length nbrs);
-              stopped = Hashtbl.create 4;
+              nbrs;
+              nbr_label =
+                Array.map (fun w -> if Mask.mem domain w then w else -2) nbrs;
+              stopped = [];
+              tree_tbl = Hashtbl.create 4;
+              trees = [||];
               size = 1;
               joined = 0;
-              props = Hashtbl.create 4;
-              counts = Hashtbl.create 4;
-              sent_up = Hashtbl.create 4;
-              outq = Hashtbl.create (Array.length nbrs);
+              queues = Array.init deg (fun _ -> Queue.create ());
+              queued = 0;
+              out_tbl = Hashtbl.create deg;
+              out_order = [||];
+              out_stale = false;
+              listed = Array.make deg false;
+              dirty = false;
               steps_left_in_phase = 0;
               phases_left = [];
               bit = 0;
             }
           in
-          if Mask.mem domain node then
-            Hashtbl.replace st.trees node { parent = node; children = [] };
-          Array.iter
-            (fun w ->
-              Hashtbl.replace st.nbr_label w (if Mask.mem domain w then w else -2))
-            nbrs;
+          if Mask.mem domain node then add_tree st node ~parent:node;
           (* the whole schedule is known up front (derived from n in a real
              deployment); bit i is phase i. Nodes outside the domain sleep. *)
           (if Mask.mem domain node then
@@ -300,22 +400,21 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
                   st.bit <- st.bit + 1;
                   start_phase st steps rest
           end;
-          List.iter (fun (s, m) -> process st s m) inbox;
-          if round_in_step >= 4 && st.steps_left_in_phase > 0 then
-            aggregate st;
+          if inbox <> [] then begin
+            process_all st inbox;
+            st.dirty <- true
+          end;
+          if round_in_step >= 4 && st.steps_left_in_phase > 0 && st.dirty
+          then begin
+            st.dirty <- false;
+            aggregate st
+          end;
           (* drain one message per edge *)
-          let out = ref [] and backlog = ref false in
-          Hashtbl.iter
-            (fun nbr q ->
-              if not (Queue.is_empty q) then begin
-                out := (nbr, Queue.pop q) :: !out;
-                if not (Queue.is_empty q) then backlog := true
-              end)
-            st.outq;
+          let out = drain st in
           let wake =
             if st.steps_left_in_phase = 0 && st.phases_left = [] then
-              if !out = [] then Congest.Sim.Halt else Congest.Sim.Run
-            else if !backlog then Congest.Sim.Run
+              if out = [] then Congest.Sim.Halt else Congest.Sim.Run
+            else if st.queued > 0 then Congest.Sim.Run
             else
               (* idle until mail, the round-4 aggregation point of this
                  step, or the next step boundary, whichever comes first:
@@ -324,7 +423,7 @@ let build ?(preset = Weak_carving.default_preset) ?domain g ~epsilon =
                 (if round_in_step < 4 then round + (4 - round_in_step)
                  else round - into_step + step_budget)
           in
-          (st, !out, wake));
+          (st, out, wake));
     }
   in
   let bits = function

@@ -187,6 +187,13 @@ let compare_snapshots ?(metrics = default_metrics) ?(k = 3.0) ~old_line
         { old_fp = Stats.fingerprint_json ofp; new_fp = Stats.fingerprint_json nfp }
   | _ -> Regressions (compare_workloads ~metrics ~k o.workloads n.workloads)
 
+let verdict_line = function
+  | Incomparable _ -> "not compared: the environment fingerprint changed"
+  | Regressions [] -> "no significant regressions vs the previous snapshot"
+  | Regressions regs ->
+      Printf.sprintf "%d significant regression(s) vs the previous snapshot"
+        (List.length regs)
+
 let regression_line r =
   Printf.sprintf "regression: %s %s: %g -> %g (+%.1f%%)" r.r_name r.r_metric
     r.r_old r.r_new r.r_pct

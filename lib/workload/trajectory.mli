@@ -128,6 +128,11 @@ val compare_snapshots :
     Lines without fingerprints (pre-observatory history) compare as
     before. *)
 
+val verdict_line : verdict -> string
+(** The one-line summary of a comparison: ["not compared: ..."] when the
+    fingerprints differ, ["no significant regressions vs the previous
+    snapshot"] when none was flagged, else the count of flagged ones. *)
+
 val regression_line : regression -> string
 (** ["regression: <name> <metric>: <old> -> <new> (+<pct>%)"] — the
     exact shape CI greps for. *)

@@ -280,6 +280,34 @@ let test_golden_program_traces () =
       ("subtree", s3, st3, "68b2e668de44218785f7fa6dc8f2d832", 126);
     ]
 
+(* BFS breaks ties by inbox order, so under an adversary that drops,
+   duplicates (copy delays 0..3) and delays messages, and crashes and
+   revives a node, the parent array and the trace pin the order in which
+   the simulator delivers next-round messages and delayed copies. *)
+let test_golden_adversarial_bfs () =
+  let adversary =
+    Congest.Fault.create
+      (Congest.Fault.spec ~seed:11 ~drop:0.1 ~duplicate:0.15 ~delay:0.2
+         ~delay_window:3 ~crashes:[ (9, 2) ] ~revives:[ (9, 5) ] ())
+  in
+  let sink = Congest.Trace.sink ~capacity:50_000_000 () in
+  let (_, parent), st =
+    Programs.bfs ~adversary ~trace:sink (Gen.grid 8 8) ~source:0
+  in
+  check int "rounds" 19 st.Sim.rounds_used;
+  check int "messages" 224 st.Sim.total_messages;
+  check int "dropped" 16 st.Sim.faults.dropped;
+  check int "duplicated" 34 st.Sim.faults.duplicated;
+  check int "delayed" 56 st.Sim.faults.delayed;
+  check (Alcotest.array int) "parent"
+    [| 0; 0; 1; 2; 3; 4; 5; 6; 0; 10; 18; 10; 20; 12; 22; 14; 8; 16; 17; 18;
+       19; 20; 21; 22; 16; 17; 18; 19; 20; 21; 29; 23; 24; 25; 26; 34; 28; 36;
+       37; 31; 32; 33; 34; 35; 36; 37; 38; 39; 40; 50; 42; 43; 44; 45; 53; 47;
+       48; 49; 50; 51; 52; 60; 61; 62 |]
+    parent;
+  check Alcotest.string "trace md5" "d4a6a9f3a1edc784c0333f8ce0025d5a"
+    (Digest.to_hex (Digest.string (Congest.Trace.to_jsonl sink)))
+
 (* ------------------------------------------------------------------ *)
 (* Classic programs                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -484,6 +512,8 @@ let () =
             test_sim_crash_revive_wakeups;
           Alcotest.test_case "golden program traces" `Quick
             test_golden_program_traces;
+          Alcotest.test_case "golden adversarial bfs" `Quick
+            test_golden_adversarial_bfs;
         ] );
       ( "programs",
         [

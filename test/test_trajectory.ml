@@ -193,6 +193,26 @@ let test_fingerprint_refusal () =
         (metric_names regs)
   | T.Incomparable _ -> Alcotest.fail "same-fingerprint compare refused"
 
+(* the one-line summary `bench record` prints: a skipped comparison must
+   not read as a clean one *)
+let test_verdict_line () =
+  let line ?sha ~time entries =
+    T.snapshot_json ~fingerprint:(fp ?sha ()) ~time entries
+  in
+  let old_line = line ~time:0.0 [ entry "g" ] in
+  let verdict new_line =
+    T.verdict_line (T.compare_snapshots ~old_line ~new_line ())
+  in
+  check Alcotest.string "fingerprints differ"
+    "not compared: the environment fingerprint changed"
+    (verdict (line ~sha:"def456" ~time:1.0 [ entry "g" ]));
+  check Alcotest.string "clean"
+    "no significant regressions vs the previous snapshot"
+    (verdict (line ~time:1.0 [ entry "g" ]));
+  check Alcotest.string "flagged"
+    "1 significant regression(s) vs the previous snapshot"
+    (verdict (line ~time:1.0 [ entry "g" ~rounds:900 ]))
+
 let test_missing_fingerprint_still_compares () =
   (* pre-observatory baselines carry no fingerprint: history must stay
      comparable rather than be orphaned wholesale *)
@@ -293,6 +313,7 @@ let () =
         [
           Alcotest.test_case "cross-fingerprint compare refused" `Quick
             test_fingerprint_refusal;
+          Alcotest.test_case "verdict line" `Quick test_verdict_line;
           Alcotest.test_case "fingerprint-less baseline compares" `Quick
             test_missing_fingerprint_still_compares;
           Alcotest.test_case "fingerprint json round-trip" `Quick

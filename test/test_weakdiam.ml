@@ -346,6 +346,13 @@ let test_golden_carve_traces () =
         "f66e503934dccf40926c18b8dbb7ee8f",
         560,
         2441 );
+      (* clique nodes of degree 39 and 40: the send order follows a
+         per-neighbour table with more than 32 keys *)
+      ( "barbell 40 5",
+        Gen.barbell 40 5,
+        "083fcaf75575da6267399891f705713e",
+        1152,
+        10962 );
     ]
 
 (* the reliable transport steps every node while it runs; a frontier bug
@@ -431,6 +438,22 @@ let test_node_steps_sparse () =
        st.Congest.Sim.node_steps dense)
     true
     (10 * st.Congest.Sim.node_steps <= dense)
+
+(* allocation budget of the simulated carving, engine pre-run included;
+   the count is deterministic. About 35 words per message are expected:
+   12 for the list-based program interface (inbox and outgoing pairs and
+   their cons cells), most of the rest for message values and queue
+   cells. Hashing node state per step would blow the budget. *)
+let test_minor_words_per_message () =
+  let g = Gen.grid 24 24 in
+  let before = Gc.minor_words () in
+  let r = Dist.carve g ~epsilon:0.5 in
+  let words = Gc.minor_words () -. before in
+  let messages = r.Dist.sim_stats.Congest.Sim.total_messages in
+  let per_message = words /. float_of_int messages in
+  check bool
+    (Printf.sprintf "%.1f minor words per delivered message <= 52" per_message)
+    true (per_message <= 52.0)
 
 (* ------------------------------------------------------------------ *)
 (* Property tests                                                       *)
@@ -562,6 +585,8 @@ let () =
             test_sleep_is_a_hint;
           Alcotest.test_case "node steps on grid 24x24" `Quick
             test_node_steps_sparse;
+          Alcotest.test_case "minor words per message on grid 24x24" `Quick
+            test_minor_words_per_message;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
